@@ -12,16 +12,17 @@ falsification sweeps for observed regularities of optimal play
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Mover,
     OutcomeTable,
     PlayTrace,
+    Report,
     Ruleset,
     build_outcome_table,
     canonical_trace,
+    rulesets_with_max_at_most,
 )
 
 
@@ -40,57 +41,32 @@ def default_x_max(ruleset: Ruleset) -> int:
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Report):
     ruleset: Ruleset
     xi: int
     converged_action: int
     verified_up_to: int
     bound_satisfied: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "ruleset": list(self.ruleset.actions),
-            "xi": self.xi,
-            "converged_action": self.converged_action,
-            "verified_up_to": self.verified_up_to,
-            "bound_satisfied": self.bound_satisfied,
-        }
-
 
 @dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(Report):
     period: int
     tail_start: int
     verified_up_to: int
 
-    def as_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "tail_start": self.tail_start,
-            "verified_up_to": self.verified_up_to,
-        }
-
 
 @dataclass(frozen=True)
-class ObservationReport:
+class ObservationReport(Report):
     observation: str
     ruleset: Ruleset
     holds: bool
     counterexample_x: int | None = None
     witness: PlayTrace | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "observation": self.observation,
-            "ruleset": list(self.ruleset.actions),
-            "holds": self.holds,
-            "counterexample_x": self.counterexample_x,
-            "witness": self.witness.as_dict() if self.witness is not None else None,
-        }
-
 
 @dataclass(frozen=True)
-class SacrificeFinding:
+class SacrificeFinding(Report):
     """A start heap whose canonical trace contains sacrifices by both players.
 
     Sacrifice size is greedy-at-that-heap minus the action played; when a
@@ -104,15 +80,6 @@ class SacrificeFinding:
     positive_sacrifice: int
     negative_sacrifice: int
     consistent: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "ruleset": list(self.ruleset.actions),
-            "x": self.x,
-            "positive_sacrifice": self.positive_sacrifice,
-            "negative_sacrifice": self.negative_sacrifice,
-            "consistent": self.consistent,
-        }
 
 
 def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> ConvergenceReport:
@@ -146,6 +113,21 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     raise TheoremViolationError(f"no divergent position found for {ruleset}")
 
 
+def smallest_period(values: Sequence[int], start: int, p_max: int) -> int | None:
+    """Least p <= p_max with values[t] == values[t+p] for every t >= start.
+
+    A period counts only when the tail from start spans at least two of
+    it; None when no p qualifies.
+    """
+    n = len(values)
+    for p in range(1, p_max + 1):
+        if n - start < 2 * p:
+            return None
+        if values[start:n - p] == values[start + p:]:
+            return p
+    return None
+
+
 def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
     """Minimal p <= 2*max S with o(x) = o(x+p) on the verified tail.
 
@@ -160,14 +142,13 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
             f"window too small: need tail_start + {4 * m} <= x_max, "
             f"got tail_start={tail_start}, x_max={table.x_max}"
         )
-    o = table.outcomes
     top = table.x_max
-    for p in range(1, 2 * m + 1):
-        if all(o[x] == o[x + p] for x in range(tail_start, top - p + 1)):
-            return PeriodReport(period=p, tail_start=tail_start, verified_up_to=top)
-    raise TheoremViolationError(
-        f"no period up to {2 * m} on tail [{tail_start}, {top}] for {table.ruleset}"
-    )
+    period = smallest_period(table.outcomes, tail_start, 2 * m)
+    if period is None:
+        raise TheoremViolationError(
+            f"no period up to {2 * m} on tail [{tail_start}, {top}] for {table.ruleset}"
+        )
+    return PeriodReport(period=period, tail_start=tail_start, verified_up_to=top)
 
 
 def _sacrificing_movers(ruleset: Ruleset, trace: PlayTrace) -> set[Mover]:
@@ -180,47 +161,41 @@ def _sacrificing_movers(ruleset: Ruleset, trace: PlayTrace) -> set[Mover]:
     return sackers
 
 
+def _check_two_action_traces(
+    ruleset: Ruleset,
+    xs: Iterable[int],
+    observation: str,
+    violated: Callable[[PlayTrace, set[Mover]], bool],
+) -> ObservationReport:
+    """First canonical trace from xs that `violated(trace, sacrificers)` flags."""
+    if not ruleset.is_two_action:
+        raise ValueError(f"observation is stated for two-action games, got {ruleset}")
+    xs = list(xs)
+    table = build_outcome_table(ruleset, max(xs, default=0))
+    for x in xs:
+        trace = canonical_trace(ruleset, x, table=table)
+        if violated(trace, _sacrificing_movers(ruleset, trace)):
+            return ObservationReport(observation, ruleset, False, x, trace)
+    return ObservationReport(observation, ruleset, True)
+
+
 def check_observation_last_move(ruleset: Ruleset, xs: Iterable[int]) -> ObservationReport:
     """Two-action games: whoever sacrifices plays the last move.
 
     Checked against the canonical trace from every heap in xs; vacuously
     true for traces without sacrifices.
     """
-    if not ruleset.is_two_action:
-        raise ValueError(f"observation is stated for two-action games, got {ruleset}")
-    xs = list(xs)
-    table = build_outcome_table(ruleset, max(xs, default=0))
-    for x in xs:
-        trace = canonical_trace(ruleset, x, table=table)
-        sackers = _sacrificing_movers(ruleset, trace)
-        if sackers and sackers != {trace.moves[-1].mover}:
-            return ObservationReport(
-                observation="sacrificer-plays-last",
-                ruleset=ruleset,
-                holds=False,
-                counterexample_x=x,
-                witness=trace,
-            )
-    return ObservationReport(observation="sacrificer-plays-last", ruleset=ruleset, holds=True)
+    return _check_two_action_traces(
+        ruleset, xs, "sacrificer-plays-last",
+        lambda trace, sackers: bool(sackers) and sackers != {trace.moves[-1].mover},
+    )
 
 
 def check_observation_one_greedy(ruleset: Ruleset, xs: Iterable[int]) -> ObservationReport:
     """Two-action games: at least one player plays greedily throughout."""
-    if not ruleset.is_two_action:
-        raise ValueError(f"observation is stated for two-action games, got {ruleset}")
-    xs = list(xs)
-    table = build_outcome_table(ruleset, max(xs, default=0))
-    for x in xs:
-        trace = canonical_trace(ruleset, x, table=table)
-        if len(_sacrificing_movers(ruleset, trace)) > 1:
-            return ObservationReport(
-                observation="one-player-all-greedy",
-                ruleset=ruleset,
-                holds=False,
-                counterexample_x=x,
-                witness=trace,
-            )
-    return ObservationReport(observation="one-player-all-greedy", ruleset=ruleset, holds=True)
+    return _check_two_action_traces(
+        ruleset, xs, "one-player-all-greedy", lambda trace, sackers: len(sackers) > 1
+    )
 
 
 def check_nonincreasing_actions(ruleset: Ruleset, x: int) -> ObservationReport:
@@ -252,8 +227,8 @@ def _both_sacrifice_findings(ruleset: Ruleset, x_cap: int) -> list[SacrificeFind
     table = build_outcome_table(ruleset, x_cap)
     lo = ruleset.min_action
     greedy = [0] * (x_cap + 1)
-    for h in range(lo, x_cap + 1):
-        greedy[h] = ruleset.greedy_action(h)
+    for a in ruleset.actions:  # each action is greedy from itself up to the next
+        greedy[a:] = [a] * (x_cap + 1 - a)
     pos_p = [0] * (x_cap + 1)  # max sacrifice by Positive, Positive to move
     neg_p = [0] * (x_cap + 1)
     pos_n = [0] * (x_cap + 1)  # same, Negative to move
@@ -285,11 +260,8 @@ def scan_sacrifice_conjecture(max_s: int, x_cap: int) -> list[SacrificeFinding]:
     if x_cap < 0:
         raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
     findings: list[SacrificeFinding] = []
-    for size in (4, 5):
-        if size > max_s:
-            continue
-        for combo in combinations(range(1, max_s + 1), size):
-            findings.extend(_both_sacrifice_findings(Ruleset(combo), x_cap))
+    for ruleset in rulesets_with_max_at_most(max_s, (4, 5)):
+        findings.extend(_both_sacrifice_findings(ruleset, x_cap))
     return findings
 
 
@@ -332,31 +304,29 @@ def sacrifice_conjecture_report(max_s: int, x_cap: int) -> dict:
     )
 
 
+# Sweep name -> (conjecture title, checker).
+_OBSERVATIONS = {
+    "last-move": ("two-action-sacrificer-plays-last", check_observation_last_move),
+    "one-greedy": ("two-action-one-player-all-greedy", check_observation_one_greedy),
+}
+
+
 def observation_sweep_report(name: str, max_s: int, x_cap: int) -> dict:
     """Check one of the two-action observations on every pair with max <= max_s."""
-    checkers = {
-        "last-move": check_observation_last_move,
-        "one-greedy": check_observation_one_greedy,
-    }
-    titles = {
-        "last-move": "two-action-sacrificer-plays-last",
-        "one-greedy": "two-action-one-player-all-greedy",
-    }
-    if name not in checkers:
-        raise ValueError(f"unknown observation {name!r}; expected one of {sorted(checkers)}")
+    if name not in _OBSERVATIONS:
+        raise ValueError(f"unknown observation {name!r}; expected one of {sorted(_OBSERVATIONS)}")
     if max_s < 2:
         raise ValueError(f"need max_s >= 2, got {max_s}")
+    title, check = _OBSERVATIONS[name]
+    pairs = rulesets_with_max_at_most(max_s, (2,))
     counterexamples: list[dict] = []
-    count = 0
-    for s2 in range(1, max_s):
-        for s1 in range(s2 + 1, max_s + 1):
-            count += 1
-            report = checkers[name](Ruleset((s2, s1)), range(0, x_cap + 1))
-            if not report.holds:
-                counterexamples.append(report.as_dict())
+    for ruleset in pairs:
+        report = check(ruleset, range(0, x_cap + 1))
+        if not report.holds:
+            counterexamples.append(report.as_dict())
     return conjecture_report(
-        conjecture=titles[name],
+        conjecture=title,
         parameters={"max_s": max_s, "x_cap": x_cap},
-        swept_space={"rulesets": count},
+        swept_space={"rulesets": len(pairs)},
         counterexamples=counterexamples,
     )

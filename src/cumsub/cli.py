@@ -12,6 +12,7 @@ import sys
 
 from .analysis import (
     TheoremViolationError,
+    convergence_bound,
     convergence_point,
     default_x_max,
     eventual_period,
@@ -78,7 +79,7 @@ def cmd_converge(args) -> int:
         _emit_json(payload)
     else:
         print(f"ruleset {ruleset}")
-        print(f"converges at xi = {report.xi} (bound {2 * ruleset.max_action ** 2}, "
+        print(f"converges at xi = {report.xi} (bound {convergence_bound(ruleset)}, "
               f"satisfied: {report.bound_satisfied})")
         print(f"converged action = {report.converged_action}")
         print(f"eventual period = {period.period} "

@@ -18,12 +18,11 @@ xi = (s1+s2)*ceil(s2/alpha) - s2, one past the largest X* member.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .core import Ruleset
-
-_log = logging.getLogger(__name__)
+from .analysis import TheoremViolationError
+from .core import Report, Ruleset
 
 
 def full_support_outcome(s1: int, x: int) -> int:
@@ -46,26 +45,7 @@ def full_support_opt(s1: int, x: int) -> int:
 
 
 @dataclass(frozen=True)
-class FullSupportSolution:
-    s1: int
-
-    def __post_init__(self) -> None:
-        if self.s1 < 2:
-            raise ValueError(f"full support needs s1 >= 2, got {self.s1}")
-
-    @property
-    def ruleset(self) -> Ruleset:
-        return Ruleset(tuple(range(1, self.s1 + 1)))
-
-    def outcome(self, x: int) -> int:
-        return full_support_outcome(self.s1, x)
-
-    def opt(self, x: int) -> int:
-        return full_support_opt(self.s1, x)
-
-
-@dataclass(frozen=True)
-class TwoActionSolution:
+class TwoActionSolution(Report):
     """Everything derivable in closed form for S = {s2, s1}.
 
     x_star[i-1] is the block X*(i); only nonempty blocks are stored, so
@@ -77,14 +57,23 @@ class TwoActionSolution:
     s1: int
     alpha: int
     i_max: int
-    x_star: tuple[tuple[int, ...], ...]
     xi: int
-    members: frozenset[int] = field(init=False, repr=False, compare=False)
+    x_star: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "members", frozenset(y for block in self.x_star for y in block)
-        )
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(y for block in self.x_star for y in block)
+
+    @cached_property
+    def _by_residue(self) -> dict[int, tuple[int, int]]:
+        """(member, block index) by residue mod 2*s1; X* residues are pairwise distinct."""
+        period = 2 * self.s1
+        out = {y % period: (y, i) for i, block in enumerate(self.x_star, start=1) for y in block}
+        if len(out) != len(self.members):
+            raise TheoremViolationError(
+                f"two X* members are congruent mod {period} for S={{{self.s2},{self.s1}}}"
+            )
+        return out
 
     @property
     def ruleset(self) -> Ruleset:
@@ -96,21 +85,12 @@ class TwoActionSolution:
         return 2 * self.s2 <= self.s1
 
     def block_index(self, x: int) -> int | None:
-        """i with x in X*(i), or None."""
-        for i, block in enumerate(self.x_star, start=1):
-            if block[0] <= x <= block[-1]:
-                return i
-        return None
+        """i with x in X*(i), or None.
 
-    def as_dict(self) -> dict:
-        return {
-            "s2": self.s2,
-            "s1": self.s1,
-            "alpha": self.alpha,
-            "i_max": self.i_max,
-            "xi": self.xi,
-            "x_star": [list(block) for block in self.x_star],
-        }
+        X*(i) starts at i*(s1+s2) - s1 and holds alpha heaps.
+        """
+        i, delta = divmod(x + self.s1, self.s1 + self.s2)
+        return i if delta < self.alpha and 1 <= i <= len(self.x_star) else None
 
 
 def build_two_action(s2: int, s1: int) -> TwoActionSolution:
@@ -126,7 +106,7 @@ def build_two_action(s2: int, s1: int) -> TwoActionSolution:
         i += 1
     xi = (s1 + s2) * (-(-s2 // alpha)) - s2
     return TwoActionSolution(
-        s2=s2, s1=s1, alpha=alpha, i_max=i_max, x_star=tuple(blocks), xi=xi
+        s2=s2, s1=s1, alpha=alpha, i_max=i_max, xi=xi, x_star=tuple(blocks)
     )
 
 
@@ -149,29 +129,6 @@ def _greedy_dominant_outcome(s2: int, s1: int, x: int) -> int:
     return s1 - base if q % 2 else base
 
 
-def _congruent_block_index(sol: TwoActionSolution, x: int) -> int | None:
-    """Block index of the largest X* member below x and congruent mod 2*s1."""
-    period = 2 * sol.s1
-    r = x % period
-    best_y = None
-    best_i = None
-    matches = 0
-    for i, block in enumerate(sol.x_star, start=1):
-        for y in block:
-            if y < x and y % period == r:
-                matches += 1
-                if best_y is None or y > best_y:
-                    best_y, best_i = y, i
-    if matches > 1:
-        # X* residues mod 2*s1 are pairwise distinct, so this cannot fire;
-        # logged rather than silently resolved in case the premise breaks.
-        _log.warning(
-            "multiple X* members congruent to %d mod %d for S={%d,%d}",
-            x, period, sol.s2, sol.s1,
-        )
-    return best_i
-
-
 def two_action_outcome(sol: TwoActionSolution, x: int) -> int:
     """o(x) without dynamic programming.
 
@@ -189,21 +146,18 @@ def two_action_outcome(sol: TwoActionSolution, x: int) -> int:
     i = sol.block_index(x)
     if i is not None:  # (a)
         return sol.s1 - i * sol.alpha
-    for i, block in enumerate(sol.x_star, start=1):  # (b)
-        y = block[0]
-        if y - (sol.s1 - i * sol.alpha) <= x < y:
+    # (b): each window lies between X*(i-1) and X*(i), so only the first block above x can match.
+    i = (x + sol.s1) // (sol.s1 + sol.s2) + 1
+    if i <= len(sol.x_star):
+        y = sol.x_star[i - 1][0]
+        if y - (sol.s1 - i * sol.alpha) <= x:
             return 0
-    i = _congruent_block_index(sol, x)  # (c)
-    if i is not None:
-        return sol.s1 - i * sol.alpha
+    hit = sol._by_residue.get(x % (2 * sol.s1))  # (c)
+    if hit is not None and hit[0] < x:
+        return sol.s1 - hit[1] * sol.alpha
     if x % (2 * sol.s1) >= sol.s1:  # (d), recursing at most once
         return sol.s1 - two_action_outcome(sol, x - sol.s1)
     return 0
-
-
-def two_action_xi(sol: TwoActionSolution) -> int:
-    """Convergence point (s1+s2)*ceil(s2/alpha) - s2; equals max X* plus one."""
-    return sol.xi
 
 
 def complementary_next(sol: TwoActionSolution, negatives_last: int | None = None) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -148,14 +148,38 @@ class Move(NamedTuple):
     score_after: int
 
 
+def to_json(obj):
+    """JSON-ready form of a report value: dataclasses become dicts of their
+    fields in declaration order, a Ruleset its action list, a Mover its
+    value, a Move a dict, and tuples lists."""
+    if isinstance(obj, Ruleset):
+        return list(obj.actions)
+    if isinstance(obj, Mover):
+        return obj.value
+    if isinstance(obj, Move):
+        return {k: to_json(v) for k, v in obj._asdict().items()}
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [to_json(v) for v in obj]
+    return obj
+
+
+class Report:
+    """Base of the frozen report dataclasses: one JSON shape for all of them."""
+
+    def as_dict(self) -> dict:
+        return to_json(self)
+
+
 @dataclass(frozen=True)
-class PlayTrace:
+class PlayTrace(Report):
     """A completed play, recorded move by move."""
 
     start_heap: int
+    start_score: int
     moves: tuple[Move, ...]
     final_score: int
-    start_score: int = 0
 
     @property
     def actions(self) -> tuple[int, ...]:
@@ -163,17 +187,6 @@ class PlayTrace:
 
     def actions_by(self, mover: Mover) -> tuple[int, ...]:
         return tuple(m.action for m in self.moves if m.mover is mover)
-
-    def as_dict(self) -> dict:
-        return {
-            "start_heap": self.start_heap,
-            "start_score": self.start_score,
-            "moves": [
-                {"mover": m.mover.value, "action": m.action, "score_after": m.score_after}
-                for m in self.moves
-            ],
-            "final_score": self.final_score,
-        }
 
 
 def _check_x_max(x_max: int) -> None:
@@ -283,13 +296,6 @@ def minimax_values(ruleset: Ruleset, x_max: int) -> tuple[int, ...]:
     return tuple(vp)
 
 
-def minimax_oracle(ruleset: Ruleset, x: int) -> int:
-    """Game value at heap x with Positive to move, via the explicit search."""
-    if x < 0:
-        raise ValueError(f"heap must be nonnegative, got {x}")
-    return minimax_values(ruleset, x)[x]
-
-
 def canonical_trace(
     ruleset: Ruleset,
     x: int,
@@ -317,7 +323,7 @@ def canonical_trace(
         moves.append(Move(mover, action, score))
         heap -= action
         mover = mover.opponent
-    return PlayTrace(start_heap=x, moves=tuple(moves), final_score=score, start_score=start_score)
+    return PlayTrace(start_heap=x, start_score=start_score, moves=tuple(moves), final_score=score)
 
 
 def is_sacrifice(ruleset: Ruleset, heap: int, action: int) -> bool:

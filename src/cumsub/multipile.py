@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Ruleset
+from .analysis import conjecture_report, smallest_period
+from .core import Report, Ruleset
 
 _CSV_ENCODING = "ascii"
 
@@ -38,7 +39,7 @@ class GridOutcome:
 
 
 @dataclass(frozen=True)
-class LinePeriodReport:
+class LinePeriodReport(Report):
     """Eventual-period probe along one grid line.
 
     period is None when no candidate holds over the evidence window (the
@@ -52,15 +53,6 @@ class LinePeriodReport:
     period: int | None
     tail_start: int
     verified_up_to: int
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "index": self.index,
-            "period": self.period,
-            "tail_start": self.tail_start,
-            "verified_up_to": self.verified_up_to,
-        }
 
 
 def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
@@ -102,8 +94,8 @@ def two_pile_minimax(
     """Independent two-pile oracle: explicit game-tree search by mover."""
     if x1 < 0 or x2 < 0:
         raise ValueError(f"pile sizes must be nonnegative, got ({x1},{x2})")
-    if memo is None:
-        memo = {}
+    # Values depend on the ruleset, so a caller's memo is split by it.
+    memo = {} if memo is None else memo.setdefault(ruleset.actions, {})
 
     def value(a: int, b: int, positive: bool) -> int:
         key = (a, b, positive)
@@ -126,16 +118,13 @@ def two_pile_minimax(
     return value(x1, x2, True)
 
 
-def _scan_periodic(values: list[int], p_max: int) -> tuple[int | None, int]:
-    """Minimal period on the last-third tail, demanding two periods of evidence."""
-    n = len(values)
-    tail = (2 * n) // 3
-    for p in range(1, p_max + 1):
-        if n - tail < 2 * p:
-            break
-        if all(values[t] == values[t + p] for t in range(tail, n - p)):
-            return p, tail
-    return None, tail
+def _line_report(
+    kind: str, index: int, line: list[int], p_max: int, t0: int = 0
+) -> LinePeriodReport:
+    """Minimal period on the last-third tail of a line starting at t = t0."""
+    tail = (2 * len(line)) // 3
+    period = smallest_period(line, tail, p_max)
+    return LinePeriodReport(kind, index, period, t0 + tail, t0 + len(line) - 1)
 
 
 def row_period(grid: GridOutcome, x2: int) -> LinePeriodReport:
@@ -145,9 +134,7 @@ def row_period(grid: GridOutcome, x2: int) -> LinePeriodReport:
     m = grid.ruleset.max_action
     if grid.width < 6 * m:
         raise ValueError(f"row too short: need width >= {6 * m}, got {grid.width}")
-    line = list(grid.values[x2])
-    period, tail = _scan_periodic(line, 2 * m)
-    return LinePeriodReport("row", x2, period, tail, grid.width - 1)
+    return _line_report("row", x2, list(grid.values[x2]), 2 * m)
 
 
 def column_period(grid: GridOutcome, x1: int) -> LinePeriodReport:
@@ -158,8 +145,7 @@ def column_period(grid: GridOutcome, x1: int) -> LinePeriodReport:
     if grid.height < 6 * m:
         raise ValueError(f"column too short: need height >= {6 * m}, got {grid.height}")
     line = [grid.values[x2][x1] for x2 in range(grid.height)]
-    period, tail = _scan_periodic(line, 2 * m)
-    return LinePeriodReport("column", x1, period, tail, grid.height - 1)
+    return _line_report("column", x1, line, 2 * m)
 
 
 def diagonal_period(grid: GridOutcome, k: int) -> LinePeriodReport:
@@ -175,8 +161,7 @@ def diagonal_period(grid: GridOutcome, k: int) -> LinePeriodReport:
         raise ValueError(
             f"diagonal k={k} too short: need >= {6 * m} points, got {len(line)}"
         )
-    period, tail = _scan_periodic(line, 4 * m)
-    return LinePeriodReport("diagonal", k, period, t0 + tail, t0 + len(line) - 1)
+    return _line_report("diagonal", k, line, 4 * m, t0)
 
 
 def _write_pnm(grid: GridOutcome, path: str, color: bool) -> None:
@@ -230,8 +215,6 @@ def read_grid_csv(path: str) -> tuple[tuple[int, ...], ...]:
 
 def periodicity_reports(grid: GridOutcome, max_diag: int = 50) -> dict:
     """Row/column and diagonal period sweeps in the shared conjecture schema."""
-    from .analysis import conjecture_report
-
     line_reports = [row_period(grid, x2) for x2 in range(grid.height)]
     line_reports += [column_period(grid, x1) for x1 in range(grid.width)]
     m = grid.ruleset.max_action
@@ -240,27 +223,17 @@ def periodicity_reports(grid: GridOutcome, max_diag: int = 50) -> dict:
         length = min(grid.width, grid.height - k) - max(0, -k)
         if length >= 6 * m:
             diag_reports.append(diagonal_period(grid, k))
+    shape = {"ruleset": list(grid.ruleset.actions), "width": grid.width, "height": grid.height}
     lines = conjecture_report(
         conjecture="two-pile-line-periodicity",
-        parameters={
-            "ruleset": list(grid.ruleset.actions),
-            "width": grid.width,
-            "height": grid.height,
-            "period_cap": 2 * m,
-        },
+        parameters={**shape, "period_cap": 2 * m},
         swept_space={"rows": grid.height, "columns": grid.width},
         counterexamples=[r.as_dict() for r in line_reports if r.period is None],
         decisive=False,
     )
     diagonals = conjecture_report(
         conjecture="two-pile-diagonal-periodicity",
-        parameters={
-            "ruleset": list(grid.ruleset.actions),
-            "width": grid.width,
-            "height": grid.height,
-            "period_cap": 4 * m,
-            "max_diag": max_diag,
-        },
+        parameters={**shape, "period_cap": 4 * m, "max_diag": max_diag},
         swept_space={"diagonals": len(diag_reports)},
         counterexamples=[r.as_dict() for r in diag_reports if r.period is None],
         decisive=False,

@@ -24,30 +24,21 @@ import math
 import os
 from dataclasses import dataclass
 
-from .analysis import convergence_point
-from .core import Ruleset
+from .analysis import conjecture_report, convergence_point
+from .core import Report, Ruleset
 
 
 @dataclass(frozen=True)
-class TruncationProfile:
+class TruncationProfile(Report):
     m: int
     tr: tuple[int, ...]
     x_values: tuple[int, ...]          # distinct tr values, increasing
     deltas: tuple[int, ...]            # first differences of x_values
     multiplicities: tuple[int, ...]    # count of each x_value in tr
 
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "tr": list(self.tr),
-            "x_values": list(self.x_values),
-            "deltas": list(self.deltas),
-            "multiplicities": list(self.multiplicities),
-        }
-
 
 @dataclass(frozen=True)
-class DualityTheoremReport:
+class DualityTheoremReport(Report):
     m: int
     early_a_range: tuple[int, int]     # tr(a) = 2 is asserted on this a range
     early_all_two: bool
@@ -57,21 +48,9 @@ class DualityTheoremReport:
     delta_equals_multiplicity: bool
     matches_stated: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "early_a_range": list(self.early_a_range),
-            "early_all_two": self.early_all_two,
-            "last_delta": self.last_delta,
-            "multiplicity_of_two": self.multiplicity_of_two,
-            "stated_value": self.stated_value,
-            "delta_equals_multiplicity": self.delta_equals_multiplicity,
-            "matches_stated": self.matches_stated,
-        }
-
 
 @dataclass(frozen=True)
-class DualityConjectureReport:
+class DualityConjectureReport(Report):
     m: int
     distinct_count: int
     expected_distinct: int             # floor(sqrt(4m - 7))
@@ -80,18 +59,6 @@ class DualityConjectureReport:
     reversed_tail_multiplicities: tuple[int, ...]
     deltas_ok: bool
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "distinct_count": self.distinct_count,
-            "expected_distinct": self.expected_distinct,
-            "count_ok": self.count_ok,
-            "deltas": list(self.deltas),
-            "reversed_tail_multiplicities": list(self.reversed_tail_multiplicities),
-            "deltas_ok": self.deltas_ok,
-            "passed": self.passed,
-        }
 
 
 def tr_sequence(m: int) -> TruncationProfile:
@@ -194,8 +161,6 @@ def sweep_truncated(
 
 def duality_conjecture_report(m_min: int, m_max: int) -> dict:
     """Sweep report in the shared conjecture schema."""
-    from .analysis import conjecture_report
-
     counterexamples: list[dict] = []
     for m in range(m_min, m_max + 1):
         result = check_duality_conjecture(tr_sequence(m))

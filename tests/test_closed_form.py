@@ -13,8 +13,9 @@ from __future__ import annotations
 import pytest
 
 from cumsub import (
-    FullSupportSolution,
     Ruleset,
+    TheoremViolationError,
+    TwoActionSolution,
     build_outcome_table,
     build_two_action,
     complementary_next,
@@ -22,7 +23,6 @@ from cumsub import (
     full_support_outcome,
     two_action_opt,
     two_action_outcome,
-    two_action_xi,
 )
 
 # o(x) for S={5,7}, x = 0..55 (same reference table as test_core).
@@ -60,14 +60,6 @@ class TestFullSupport:
             full_support_outcome(3, -1)
         with pytest.raises(ValueError):
             full_support_opt(3, 0)
-
-    def test_solution_wrapper(self):
-        sol = FullSupportSolution(4)
-        assert sol.ruleset == Ruleset((1, 2, 3, 4))
-        assert sol.outcome(6) == full_support_outcome(4, 6)
-        assert sol.opt(6) == 4
-        with pytest.raises(ValueError):
-            FullSupportSolution(1)
 
 
 class TestTwoActionStructure:
@@ -174,6 +166,12 @@ class TestTwoActionOutcome:
         sol = build_two_action(5, 7)
         assert two_action_outcome(sol, 34) == two_action_outcome(sol, 6) == 5
 
+    def test_congruent_x_star_members_are_a_theorem_violation(self):
+        # 5 and 19 share residue 5 mod 14, which no real X* allows.
+        sol = TwoActionSolution(s2=5, s1=7, alpha=2, i_max=3, xi=31, x_star=((5, 6), (19, 20)))
+        with pytest.raises(TheoremViolationError):
+            two_action_outcome(sol, 33)
+
     def test_case_high_residue_reflection(self):
         # 41 mod 14 = 13 >= 7, so o(41) = 7 - o(34).
         sol = build_two_action(5, 7)
@@ -218,10 +216,6 @@ class TestTwoActionOpt:
     def test_terminal_rejected(self):
         with pytest.raises(ValueError):
             two_action_opt(build_two_action(5, 7), 4)
-
-    def test_xi_accessor(self):
-        sol = build_two_action(5, 7)
-        assert two_action_xi(sol) == sol.xi == 31
 
 
 class TestComplementaryStrategy:

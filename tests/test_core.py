@@ -22,7 +22,6 @@ from cumsub import (
     build_outcome_table,
     canonical_trace,
     is_sacrifice,
-    minimax_oracle,
     minimax_values,
     opt_action,
     rulesets_with_max_at_most,
@@ -226,13 +225,13 @@ class TestOptAction:
 class TestMinimaxOracle:
     def test_spot_values(self):
         rs = Ruleset((5, 7))
-        assert minimax_oracle(rs, 17) == 3
-        assert minimax_oracle(rs, 4) == 0
-        assert minimax_oracle(Ruleset((2, 3)), 7) == 1
+        assert minimax_values(rs, 17)[17] == 3
+        assert minimax_values(rs, 4)[4] == 0
+        assert minimax_values(Ruleset((2, 3)), 7)[7] == 1
 
     def test_rejects_negative_heap(self):
         with pytest.raises(ValueError):
-            minimax_oracle(Ruleset((5, 7)), -1)
+            minimax_values(Ruleset((5, 7)), -1)
 
     def test_matches_table_on_frozen_example(self):
         assert minimax_values(Ruleset((5, 7)), 55) == O_57

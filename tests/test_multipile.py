@@ -100,6 +100,13 @@ class TestTwoPileOracle:
             assert two_pile_minimax(rs, x, 0, memo) == table.outcomes[x]
             assert two_pile_minimax(rs, 0, x, memo) == table.outcomes[x]
 
+    def test_shared_memo_across_rulesets(self):
+        memo = {}
+        two_pile_minimax(Ruleset((1, 2)), 7, 3, memo)
+        expected = build_grid(Ruleset((2, 3)), 8, 4).outcome(7, 3)
+        assert expected == 2
+        assert two_pile_minimax(Ruleset((2, 3)), 7, 3, memo) == expected
+
     def test_terminal(self):
         assert two_pile_minimax(Ruleset((5, 7)), 0, 0) == 0
         assert two_pile_minimax(Ruleset((5, 7)), 4, 4) == 0

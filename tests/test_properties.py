@@ -1,0 +1,58 @@
+"""Property tests: closed forms and period probes against the dynamic program.
+
+Hypothesis runs derandomized with a bounded example count, so every run
+checks the same cases.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cumsub import (
+    Ruleset,
+    build_grid,
+    build_outcome_table,
+    build_two_action,
+    default_x_max,
+    eventual_period,
+    row_period,
+    two_action_opt,
+    two_action_outcome,
+)
+
+pairs = st.integers(2, 80).flatmap(lambda s1: st.tuples(st.integers(1, s1 - 1), st.just(s1)))
+
+rulesets = st.integers(2, 12).flatmap(
+    lambda m: st.lists(st.integers(1, m - 1), min_size=1, max_size=3, unique=True).map(
+        lambda rest: Ruleset(tuple(sorted(rest)) + (m,))
+    )
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pairs)
+def test_two_action_closed_form_matches_dp(pair):
+    s2, s1 = pair
+    sol = build_two_action(s2, s1)
+    rs = Ruleset((s2, s1))
+    table = build_outcome_table(rs, default_x_max(rs))
+    for x in range(table.x_max + 1):
+        assert two_action_outcome(sol, x) == table.outcomes[x], x
+        assert (sol.block_index(x) is not None) == (x in sol.members), x
+        if x >= s2:
+            assert two_action_opt(sol, x) == table.opts[x], x
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rulesets)
+def test_grid_row_zero_period_matches_single_pile(rs):
+    # Row 0 is the single-pile game.  The width puts the probe's last-third
+    # tail past the convergence bound 2*m^2 with 4*m heaps beyond it.
+    m = rs.max_action
+    width = 3 * m * m + 12 * m + 3
+    grid = build_grid(rs, width, 1)
+    table = build_outcome_table(rs, width - 1)
+    assert grid.values[0] == table.outcomes
+    report = row_period(grid, 0)
+    assert report.period == eventual_period(table, report.tail_start).period
