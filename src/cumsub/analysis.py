@@ -151,31 +151,52 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
     return PeriodReport(period=period, tail_start=tail_start, verified_up_to=top)
 
 
-def _sacrificing_movers(ruleset: Ruleset, trace: PlayTrace) -> set[Mover]:
-    heap = trace.start_heap
-    sackers: set[Mover] = set()
-    for mv in trace.moves:
-        if mv.action != ruleset.greedy_action(heap):
-            sackers.add(mv.mover)
-        heap -= mv.action
-    return sackers
+def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[list[int], list[int], list[int]]:
+    """Summaries of the canonical trace from every start heap h <= x_cap.
+
+    mine[h] and theirs[h] are the largest sacrifices (greedy at that heap
+    minus the action played, 0 for none) by the player to move at h and by
+    the other player; plies[h] is the number of moves.  Both players follow
+    the same opt, so the trace from h is one move followed by the trace from
+    h - opt(h) with the roles swapped, and one linear pass fills all three.
+    """
+    opts = build_outcome_table(ruleset, x_cap).opts
+    greedy = [0] * (x_cap + 1)
+    for a in ruleset.actions:  # each action is greedy from itself up to the next
+        greedy[a:] = [a] * (x_cap + 1 - a)
+    mine = [0] * (x_cap + 1)
+    theirs = [0] * (x_cap + 1)
+    plies = [0] * (x_cap + 1)
+    for h in range(ruleset.min_action, x_cap + 1):
+        a = opts[h]
+        c = h - a
+        sac = greedy[h] - a
+        mine[h] = sac if sac > theirs[c] else theirs[c]
+        theirs[h] = mine[c]
+        plies[h] = plies[c] + 1
+    return mine, theirs, plies
 
 
 def _check_two_action_traces(
     ruleset: Ruleset,
     xs: Iterable[int],
     observation: str,
-    violated: Callable[[PlayTrace, set[Mover]], bool],
+    violated: Callable[[bool, bool, bool], bool],
 ) -> ObservationReport:
-    """First canonical trace from xs that `violated(trace, sacrificers)` flags."""
+    """First start heap in xs whose canonical trace `violated` flags.
+
+    The predicate gets (Positive sacrifices, Negative sacrifices, Positive
+    moves last); the failing trace is replayed only as the witness.
+    """
     if not ruleset.is_two_action:
         raise ValueError(f"observation is stated for two-action games, got {ruleset}")
     xs = list(xs)
-    table = build_outcome_table(ruleset, max(xs, default=0))
+    if min(xs, default=0) < 0:
+        raise ValueError(f"start heaps must be nonnegative, got {min(xs)}")
+    mine, theirs, plies = _trace_summaries(ruleset, max(xs, default=0))
     for x in xs:
-        trace = canonical_trace(ruleset, x, table=table)
-        if violated(trace, _sacrificing_movers(ruleset, trace)):
-            return ObservationReport(observation, ruleset, False, x, trace)
+        if violated(mine[x] > 0, theirs[x] > 0, plies[x] % 2 == 1):
+            return ObservationReport(observation, ruleset, False, x, canonical_trace(ruleset, x))
     return ObservationReport(observation, ruleset, True)
 
 
@@ -187,14 +208,14 @@ def check_observation_last_move(ruleset: Ruleset, xs: Iterable[int]) -> Observat
     """
     return _check_two_action_traces(
         ruleset, xs, "sacrificer-plays-last",
-        lambda trace, sackers: bool(sackers) and sackers != {trace.moves[-1].mover},
+        lambda pos, neg, pos_last: neg if pos_last else pos,
     )
 
 
 def check_observation_one_greedy(ruleset: Ruleset, xs: Iterable[int]) -> ObservationReport:
     """Two-action games: at least one player plays greedily throughout."""
     return _check_two_action_traces(
-        ruleset, xs, "one-player-all-greedy", lambda trace, sackers: len(sackers) > 1
+        ruleset, xs, "one-player-all-greedy", lambda pos, neg, _: pos and neg
     )
 
 
@@ -218,35 +239,13 @@ def check_nonincreasing_actions(ruleset: Ruleset, x: int) -> ObservationReport:
 
 
 def _both_sacrifice_findings(ruleset: Ruleset, x_cap: int) -> list[SacrificeFinding]:
-    """Findings for every start heap <= x_cap whose trace has both players sacrificing.
-
-    Canonical traces from all starts form a functional graph on
-    (heap, player-to-move), so per-player maximal sacrifice sizes for all
-    starts come out of one linear pass instead of replaying each trace.
-    """
-    table = build_outcome_table(ruleset, x_cap)
-    lo = ruleset.min_action
-    greedy = [0] * (x_cap + 1)
-    for a in ruleset.actions:  # each action is greedy from itself up to the next
-        greedy[a:] = [a] * (x_cap + 1 - a)
-    pos_p = [0] * (x_cap + 1)  # max sacrifice by Positive, Positive to move
-    neg_p = [0] * (x_cap + 1)
-    pos_n = [0] * (x_cap + 1)  # same, Negative to move
-    neg_n = [0] * (x_cap + 1)
-    for h in range(lo, x_cap + 1):
-        a = table.opts[h]
-        sac = greedy[h] - a
-        c = h - a
-        pos_p[h] = sac if sac > pos_n[c] else pos_n[c]
-        neg_p[h] = neg_n[c]
-        neg_n[h] = sac if sac > neg_p[c] else neg_p[c]
-        pos_n[h] = pos_p[c]
-    out: list[SacrificeFinding] = []
-    for x in range(lo, x_cap + 1):
-        p, n = pos_p[x], neg_p[x]
-        if p > 0 and n > 0:
-            out.append(SacrificeFinding(ruleset, x, p, n, consistent=n < p))
-    return out
+    """Findings for every start heap <= x_cap whose trace has both players sacrificing."""
+    mine, theirs, _ = _trace_summaries(ruleset, x_cap)
+    return [
+        SacrificeFinding(ruleset, x, p, n, consistent=n < p)
+        for x, (p, n) in enumerate(zip(mine, theirs))
+        if p > 0 and n > 0
+    ]
 
 
 def scan_sacrifice_conjecture(max_s: int, x_cap: int) -> list[SacrificeFinding]:

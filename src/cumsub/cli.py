@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import (
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-diag", type=int, default=20)
     s.set_defaults(func=cmd_scan)
 
-    s = sub.add_parser("play", parents=[common], help="play against the optimal engine")
+    s = sub.add_parser("play", help="play against the optimal engine")
     s.add_argument("-S", "--ruleset", required=True)
     s.add_argument("-x", "--heap", type=int, required=True)
     s.add_argument("--human-side", choices=("positive", "negative"), default="negative",
@@ -285,7 +286,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`): stop quietly, and send what
+        # is still buffered to devnull so the exit-time flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 3

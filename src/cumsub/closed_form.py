@@ -14,10 +14,18 @@ From a heap in X*(i), Positive opens with s2 and then keeps the move sum
 of every round at s1 + s2, collecting i*s2 - (i-1)*s1 = s1 - i*alpha.
 Everywhere else greedy is optimal, and convergence happens at
 xi = (s1+s2)*ceil(s2/alpha) - s2, one past the largest X* member.
+
+Outcomes follow optimal play directly.  Off X* both players take s1, so
+play descends from x by s1 until the first heap y that is in X* or
+terminal; o(x) = o(y) after an even number of steps and s1 - o(y) after
+an odd number.  o(y) is s1 - i*alpha on X*(i) for i >= 2.  X*(1) is
+exactly [s2, s1), where only s2 is playable: there, as at terminal heaps,
+o(y) is the s2 parity race, s2 if y // s2 is odd and 0 otherwise.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,15 +73,19 @@ class TwoActionSolution(Report):
         return frozenset(y for block in self.x_star for y in block)
 
     @cached_property
-    def _by_residue(self) -> dict[int, tuple[int, int]]:
-        """(member, block index) by residue mod 2*s1; X* residues are pairwise distinct."""
+    def _stops(self) -> list[list[int]]:
+        """Per residue r mod s1, ascending: the heaps where a descent by s1 ending
+        in r stops, namely r itself and the X* members above it congruent to r."""
         period = 2 * self.s1
-        out = {y % period: (y, i) for i, block in enumerate(self.x_star, start=1) for y in block}
-        if len(out) != len(self.members):
+        if len({y % period for y in self.members}) != len(self.members):
             raise TheoremViolationError(
                 f"two X* members are congruent mod {period} for S={{{self.s2},{self.s1}}}"
             )
-        return out
+        stops = [[r] for r in range(self.s1)]
+        for y in sorted(self.members):
+            if y >= self.s1:
+                stops[y % self.s1].append(y)
+        return stops
 
     @property
     def ruleset(self) -> Ruleset:
@@ -117,47 +129,18 @@ def two_action_opt(sol: TwoActionSolution, x: int) -> int:
     return sol.s2 if x in sol.members else sol.s1
 
 
-def _greedy_dominant_outcome(s2: int, s1: int, x: int) -> int:
-    # 2*s2 <= s1: below s1 only s2 is playable and the game is a pure
-    # parity race; from s1 on both players take s1 every round.
-    if x < s1:
-        if x < s2:
-            return 0
-        return s2 if (x // s2) % 2 else 0
-    q, r = divmod(x, s1)
-    base = _greedy_dominant_outcome(s2, s1, r)
-    return s1 - base if q % 2 else base
-
-
 def two_action_outcome(sol: TwoActionSolution, x: int) -> int:
-    """o(x) without dynamic programming.
-
-    For 2*s2 > s1 the cases are tried in order: (a) x in X*(i) gives
-    s1 - i*alpha; (b) the outcome-many heaps just below min X*(i) give 0;
-    (c) heaps congruent mod 2*s1 to a smaller X* member inherit its
-    outcome; (d) heaps with residue in {s1..2*s1-1} give s1 - o(x - s1).
-    Anything left is a heap whose class never meets X*: both players run
-    greedy into the terminal zone, outcome 0.
-    """
+    """o(x) without dynamic programming: the descent rule of the module docstring."""
     if x < 0:
         raise ValueError(f"heap must be nonnegative, got {x}")
-    if sol.greedy_dominant:
-        return _greedy_dominant_outcome(sol.s2, sol.s1, x)
-    i = sol.block_index(x)
-    if i is not None:  # (a)
-        return sol.s1 - i * sol.alpha
-    # (b): each window lies between X*(i-1) and X*(i), so only the first block above x can match.
-    i = (x + sol.s1) // (sol.s1 + sol.s2) + 1
-    if i <= len(sol.x_star):
-        y = sol.x_star[i - 1][0]
-        if y - (sol.s1 - i * sol.alpha) <= x:
-            return 0
-    hit = sol._by_residue.get(x % (2 * sol.s1))  # (c)
-    if hit is not None and hit[0] < x:
-        return sol.s1 - hit[1] * sol.alpha
-    if x % (2 * sol.s1) >= sol.s1:  # (d), recursing at most once
-        return sol.s1 - two_action_outcome(sol, x - sol.s1)
-    return 0
+    s1 = sol.s1
+    stops = sol._stops[x % s1]
+    y = stops[bisect.bisect_right(stops, x) - 1]
+    if y < s1:  # terminal or X*(1): the s2 parity race
+        base = sol.s2 if (y // sol.s2) % 2 else 0
+    else:
+        base = s1 - sol.block_index(y) * sol.alpha
+    return s1 - base if (x - y) // s1 % 2 else base
 
 
 def complementary_next(sol: TwoActionSolution, negatives_last: int | None = None) -> int:

@@ -91,31 +91,31 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
 def two_pile_minimax(
     ruleset: Ruleset, x1: int, x2: int, memo: dict | None = None
 ) -> int:
-    """Independent two-pile oracle: explicit game-tree search by mover."""
+    """Independent two-pile oracle: explicit game values by player to move.
+
+    Filled bottom-up with one value table per mover, so it shares no code
+    with build_grid and has no recursion to run out of.  A caller's memo
+    keeps the tables per ruleset and answers smaller piles from them.
+    """
     if x1 < 0 or x2 < 0:
         raise ValueError(f"pile sizes must be nonnegative, got ({x1},{x2})")
-    # Values depend on the ruleset, so a caller's memo is split by it.
-    memo = {} if memo is None else memo.setdefault(ruleset.actions, {})
-
-    def value(a: int, b: int, positive: bool) -> int:
-        key = (a, b, positive)
-        if key in memo:
-            return memo[key]
-        best = None
-        for s in ruleset.actions:
-            if s <= a:
-                v = s + value(a - s, b, False) if positive else -s + value(a - s, b, True)
-                if best is None or (positive and v > best) or (not positive and v < best):
-                    best = v
-            if s <= b:
-                v = s + value(a, b - s, False) if positive else -s + value(a, b - s, True)
-                if best is None or (positive and v > best) or (not positive and v < best):
-                    best = v
-        result = 0 if best is None else best
-        memo[key] = result
-        return result
-
-    return value(x1, x2, True)
+    memo = {} if memo is None else memo
+    vp, vn = memo.get(ruleset.actions, ([], []))
+    if x2 < len(vp) and x1 < len(vp[0]):
+        return vp[x2][x1]
+    width = max(x1 + 1, len(vp[0]) if vp else 0)
+    height = max(x2 + 1, len(vp))
+    vp = [[0] * width for _ in range(height)]  # Positive to move
+    vn = [[0] * width for _ in range(height)]  # Negative to move
+    acts = ruleset.actions
+    for b in range(height):
+        for a in range(width):
+            after = [(s, a - s, b) for s in acts if s <= a] + [(s, a, b - s) for s in acts if s <= b]
+            if after:
+                vp[b][a] = max(s + vn[b2][a2] for s, a2, b2 in after)
+                vn[b][a] = min(-s + vp[b2][a2] for s, a2, b2 in after)
+    memo[ruleset.actions] = (vp, vn)
+    return vp[x2][x1]
 
 
 def _line_report(

@@ -31,7 +31,7 @@ from cumsub import (
     sacrifice_conjecture_report,
     scan_sacrifice_conjecture,
 )
-from cumsub.analysis import _both_sacrifice_findings
+from cumsub.analysis import _both_sacrifice_findings, _check_two_action_traces
 
 
 def naive_minimal_period(values, tail_start, p_cap):
@@ -178,6 +178,20 @@ class TestTwoActionObservations:
 
     def test_empty_heap_iterable(self):
         assert check_observation_last_move(Ruleset((5, 7)), []).holds
+
+    def test_flagged_start_reported_with_witness(self):
+        # In {5,7} the first start where Positive sacrifices is 17 (5;7;5),
+        # and Positive also moves last there.
+        report = _check_two_action_traces(
+            Ruleset((5, 7)), range(30), "demo", lambda pos, neg, pos_last: pos and pos_last
+        )
+        assert not report.holds
+        assert report.counterexample_x == 17
+        assert report.witness.actions == (5, 7, 5)
+
+    def test_negative_start_heap_rejected(self):
+        with pytest.raises(ValueError):
+            check_observation_one_greedy(Ruleset((5, 7)), [3, -1])
 
     def test_report_dict_schema(self):
         d = check_observation_last_move(Ruleset((2, 3)), range(30)).as_dict()

@@ -10,6 +10,9 @@ canned answers through builtins.input.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -331,6 +334,11 @@ class TestPlay:
         code, _, _ = run(capsys, ["play", "-S", "2,3", "-x", "-2"])
         assert code == 2
 
+    def test_json_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["play", "-S", "2,3", "-x", "7", "--json"])
+        assert exc.value.code == 2
+
 
 class TestArgparseBehavior:
     def test_no_subcommand_exits_2(self):
@@ -347,3 +355,19 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["grid", "-S", "5,7", "-W", "10"])
         assert exc.value.code == 2
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_not_an_error(self):
+        # Like `cumsub table -S 5,7 -x 200000 | head -1`.
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen(
+            [sys.executable, "-c", "import sys; from cumsub.cli import main; sys.exit(main())",
+             "table", "-S", "5,7", "-x", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline().split() == [b"x", b"opt", b"o"]
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""

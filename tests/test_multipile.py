@@ -107,6 +107,14 @@ class TestTwoPileOracle:
         assert expected == 2
         assert two_pile_minimax(Ruleset((2, 3)), 7, 3, memo) == expected
 
+    def test_large_piles_match_grid(self):
+        # Depth-first search ran out of recursion here.
+        rs = Ruleset((1, 2))
+        grid = build_grid(rs, 601, 601)
+        memo = {}
+        for x1, x2 in ((600, 600), (600, 599), (37, 598), (599, 0)):
+            assert two_pile_minimax(rs, x1, x2, memo) == grid.outcome(x1, x2), (x1, x2)
+
     def test_terminal(self):
         assert two_pile_minimax(Ruleset((5, 7)), 0, 0) == 0
         assert two_pile_minimax(Ruleset((5, 7)), 4, 4) == 0

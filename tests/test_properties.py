@@ -10,22 +10,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cumsub import (
+    Mover,
     Ruleset,
     build_grid,
     build_outcome_table,
     build_two_action,
+    canonical_trace,
     default_x_max,
     eventual_period,
     row_period,
     two_action_opt,
     two_action_outcome,
 )
+from cumsub.analysis import _trace_summaries
 
 pairs = st.integers(2, 80).flatmap(lambda s1: st.tuples(st.integers(1, s1 - 1), st.just(s1)))
 
 rulesets = st.integers(2, 12).flatmap(
     lambda m: st.lists(st.integers(1, m - 1), min_size=1, max_size=3, unique=True).map(
         lambda rest: Ruleset(tuple(sorted(rest)) + (m,))
+    )
+)
+
+sized_rulesets = st.integers(2, 5).flatmap(
+    lambda k: st.lists(st.integers(1, 15), min_size=k, max_size=k, unique=True).map(
+        lambda acts: Ruleset(tuple(sorted(acts)))
     )
 )
 
@@ -56,3 +65,23 @@ def test_grid_row_zero_period_matches_single_pile(rs):
     assert grid.values[0] == table.outcomes
     report = row_period(grid, 0)
     assert report.period == eventual_period(table, report.tail_start).period
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(sized_rulesets)
+def test_trace_summaries_match_trace_replay(rs):
+    x_cap = 150
+    mine, theirs, plies = _trace_summaries(rs, x_cap)
+    table = build_outcome_table(rs, x_cap)
+    for x in range(x_cap + 1):
+        trace = canonical_trace(rs, x, table=table)
+        largest = {Mover.POSITIVE: 0, Mover.NEGATIVE: 0}
+        heap = x
+        for move in trace.moves:
+            sac = rs.greedy_action(heap) - move.action
+            largest[move.mover] = max(largest[move.mover], sac)
+            heap -= move.action
+        assert (mine[x], theirs[x]) == (largest[Mover.POSITIVE], largest[Mover.NEGATIVE]), x
+        assert plies[x] == len(trace.moves), x
+        positive_last = bool(trace.moves) and trace.moves[-1].mover is Mover.POSITIVE
+        assert positive_last == (plies[x] % 2 == 1), x
