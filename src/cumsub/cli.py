@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import select
 import sys
 
 from .analysis import (
@@ -282,6 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_closed() -> bool:
+    """True if stdout is a pipe or socket whose reader has gone away."""
+    poller = select.poll()
+    try:
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+    except (OSError, ValueError):  # not backed by a file, e.g. captured
+        return False
+    return any(events & select.POLLERR for _, events in poller.poll(0))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -289,7 +300,10 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
+    except BrokenPipeError as exc:
+        if not _stdout_closed():
+            print(f"i/o error: {exc}", file=sys.stderr)  # an export path broke
+            return 4
         # The reader went away (e.g. `| head`): stop quietly, and send what
         # is still buffered to devnull so the exit-time flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

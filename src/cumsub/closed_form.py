@@ -91,11 +91,6 @@ class TwoActionSolution(Report):
     def ruleset(self) -> Ruleset:
         return Ruleset((self.s2, self.s1))
 
-    @property
-    def greedy_dominant(self) -> bool:
-        """True when 2*s2 <= s1: sacrifices never beat greedy play."""
-        return 2 * self.s2 <= self.s1
-
     def block_index(self, x: int) -> int | None:
         """i with x in X*(i), or None.
 

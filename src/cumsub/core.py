@@ -253,9 +253,7 @@ def build_outcome_table(ruleset: Ruleset, x_max: int) -> OutcomeTable:
     maximizing action, so traces driven by opt are deterministic.
     """
     _check_x_max(x_max)
-    # The deque kernel only pays off from three actions up; a pair {s, s+1}
-    # is faster on the generic loop.
-    if ruleset.is_contiguous and not ruleset.is_two_action:
+    if ruleset.is_contiguous:
         o, opts = _table_contiguous(ruleset, x_max)
     else:
         o, opts = _table_generic(ruleset, x_max)

@@ -95,26 +95,26 @@ def two_pile_minimax(
 
     Filled bottom-up with one value table per mover, so it shares no code
     with build_grid and has no recursion to run out of.  A caller's memo
-    keeps the tables per ruleset and answers smaller piles from them.
+    keeps the tables per ruleset; a larger request fills only the new
+    cells, so a sweep through one memo costs one fill of its final size.
     """
     if x1 < 0 or x2 < 0:
         raise ValueError(f"pile sizes must be nonnegative, got ({x1},{x2})")
     memo = {} if memo is None else memo
-    vp, vn = memo.get(ruleset.actions, ([], []))
+    vp, vn = memo.setdefault(ruleset.actions, ([], []))  # Positive, Negative to move
     if x2 < len(vp) and x1 < len(vp[0]):
         return vp[x2][x1]
     width = max(x1 + 1, len(vp[0]) if vp else 0)
-    height = max(x2 + 1, len(vp))
-    vp = [[0] * width for _ in range(height)]  # Positive to move
-    vn = [[0] * width for _ in range(height)]  # Negative to move
     acts = ruleset.actions
-    for b in range(height):
-        for a in range(width):
+    for b in range(max(x2 + 1, len(vp))):
+        if b == len(vp):
+            vp.append([])
+            vn.append([])
+        rp, rn = vp[b], vn[b]
+        for a in range(len(rp), width):
             after = [(s, a - s, b) for s in acts if s <= a] + [(s, a, b - s) for s in acts if s <= b]
-            if after:
-                vp[b][a] = max(s + vn[b2][a2] for s, a2, b2 in after)
-                vn[b][a] = min(-s + vp[b2][a2] for s, a2, b2 in after)
-    memo[ruleset.actions] = (vp, vn)
+            rp.append(max((s + vn[b2][a2] for s, a2, b2 in after), default=0))
+            rn.append(min((-s + vp[b2][a2] for s, a2, b2 in after), default=0))
     return vp[x2][x1]
 
 

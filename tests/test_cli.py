@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import subprocess
 import sys
 
@@ -357,17 +358,39 @@ class TestArgparseBehavior:
         assert exc.value.code == 2
 
 
+def _cli_process(*argv: str) -> subprocess.Popen:
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return subprocess.Popen(
+        [sys.executable, "-c", "import sys; from cumsub.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 class TestClosedPipe:
     def test_reader_closing_early_is_not_an_error(self):
         # Like `cumsub table -S 5,7 -x 200000 | head -1`.
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        with subprocess.Popen(
-            [sys.executable, "-c", "import sys; from cumsub.cli import main; sys.exit(main())",
-             "table", "-S", "5,7", "-x", "200000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        ) as proc:
+        with _cli_process("table", "-S", "5,7", "-x", "200000") as proc:
             assert proc.stdout.readline().split() == [b"x", b"opt", b"o"]
             proc.stdout.close()
             assert proc.wait(timeout=60) == 0
             assert proc.stderr.read() == b""
+
+    def test_export_reader_closing_early_is_an_io_error(self, tmp_path):
+        # Only a closed stdout is quiet; a FIFO export path whose reader
+        # leaves mid-image is still an i/o failure.
+        fifo = tmp_path / "grid.pgm"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with _cli_process("grid", "-S", "5,7", "-W", "400", "-H", "400",
+                              "--pgm", str(fifo)) as proc:
+                assert select.select([reader], [], [], 60)[0]
+                assert os.read(reader, 2) == b"P5"
+                os.close(reader)
+                reader = None
+                assert proc.wait(timeout=60) == 4
+                assert proc.stdout.read() == b""
+                assert proc.stderr.read().startswith(b"i/o error: ")
+        finally:
+            if reader is not None:
+                os.close(reader)

@@ -70,7 +70,6 @@ class TestTwoActionStructure:
         assert sol.x_star == ((5, 6), (17, 18), (29, 30))
         assert sol.members == frozenset({5, 6, 17, 18, 29, 30})
         assert sol.xi == 31
-        assert not sol.greedy_dominant
         assert sol.ruleset == Ruleset((5, 7))
 
     def test_structure_2_3_boundary_block_empty(self):
@@ -90,7 +89,6 @@ class TestTwoActionStructure:
 
     def test_structure_3_7_greedy_dominant(self):
         sol = build_two_action(3, 7)
-        assert sol.greedy_dominant
         assert sol.x_star == ((3, 4, 5, 6),)
         assert sol.xi == 7
 

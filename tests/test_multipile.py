@@ -115,6 +115,18 @@ class TestTwoPileOracle:
         for x1, x2 in ((600, 600), (600, 599), (37, 598), (599, 0)):
             assert two_pile_minimax(rs, x1, x2, memo) == grid.outcome(x1, x2), (x1, x2)
 
+    def test_memo_grows_in_place(self):
+        # A larger request extends the cached rows instead of rebuilding
+        # them, so a sweep through one memo fills each cell once.
+        rs = Ruleset((2, 3))
+        memo = {}
+        two_pile_minimax(rs, 10, 10, memo)
+        rows = memo[rs.actions][0]
+        first = rows[0]
+        assert two_pile_minimax(rs, 40, 25, memo) == build_grid(rs, 41, 26).outcome(40, 25)
+        assert memo[rs.actions][0] is rows and rows[0] is first
+        assert len(rows) == 26 and all(len(row) == 41 for row in rows)
+
     def test_terminal(self):
         assert two_pile_minimax(Ruleset((5, 7)), 0, 0) == 0
         assert two_pile_minimax(Ruleset((5, 7)), 4, 4) == 0
