@@ -4,9 +4,11 @@ Every game with at least two actions eventually settles: from some heap
 size onward the optimal action is constantly the largest action, and
 that happens no later than 2*(max S)^2.  Past that point the outcome
 sequence is periodic with period dividing 2*max S.  This module locates
-the convergence point, certifies the eventual period, and provides
-falsification sweeps for observed regularities of optimal play
-(who sacrifices, who moves last, how large sacrifices are).
+the convergence point, stopping the table as soon as a repeated window of
+max S outcomes proves that opt stays max S on every larger heap; it also
+certifies the eventual period and provides falsification sweeps for
+observed regularities of optimal play (who sacrifices, who moves last,
+how large sacrifices are).
 """
 
 from __future__ import annotations
@@ -82,35 +84,62 @@ class SacrificeFinding(Report):
     consistent: bool
 
 
+def _certified_divergence(table: OutcomeTable) -> int | None:
+    """Last heap whose opt is not max S, when the table proves it is the last.
+
+    With m = max S and n = x_max: for x >= m, o(x) and opt(x) depend only
+    on the window o[x-m .. x-1].  So if n >= 3m - 1 and the top window
+    o[n+1-m .. n] equals the one 2m heaps lower, every later value repeats
+    with period 2m, and opt = m on [n+1-2m, n] gives opt = m on every heap
+    above n - 2m.  None when the table does not prove this.
+    """
+    m = table.ruleset.max_action
+    n = table.x_max
+    o, opts = table.outcomes, table.opts
+    if n < 3 * m - 1 or o[n + 1 - m:] != o[n + 1 - 3 * m:n + 1 - 2 * m]:
+        return None
+    # Heap 0 is terminal (opt None), so the scan always stops.
+    x = n
+    while opts[x] == m:
+        x -= 1
+    return x if x <= n - 2 * m else None
+
+
 def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> ConvergenceReport:
     """Smallest heap from which the optimal action is constant onward.
 
-    The constant action is always max S.  opt is checked all the way to
-    2*(max S)^2 + 4*max S; any non-greedy optimal action beyond the
-    proven bound is reported as a theorem violation rather than ignored.
+    The constant action is always max S.  The search starts from the
+    caller's table when it has at least 8*max S heaps, else from one of
+    8*max S heaps, and doubles it up to default_x_max until its top
+    3*max S outcomes certify, by window repetition, that opt = max S on
+    every heap from xi on, not just inside the table.  A non-greedy opt
+    beyond the proven bound 2*(max S)^2, or no certificate by
+    default_x_max, is reported as a theorem violation.  Since the
+    certificate covers every heap, verified_up_to is only a floor:
+    max(final table x_max, default_x_max).
     """
     m = ruleset.max_action
     bound = convergence_bound(ruleset)
-    if table is None or table.ruleset != ruleset or table.x_max < default_x_max(ruleset):
-        table = build_outcome_table(ruleset, default_x_max(ruleset))
-    opts = table.opts
-    for x in range(bound + 1, table.x_max + 1):
-        if opts[x] != m:
+    cap = default_x_max(ruleset)
+    if table is None or table.ruleset != ruleset or table.x_max < 8 * m:
+        table = build_outcome_table(ruleset, 8 * m)
+    while (last := _certified_divergence(table)) is None:
+        if table.x_max >= cap:
             raise TheoremViolationError(
-                f"opt({x}) = {opts[x]} != {m} beyond the convergence bound {bound} for {ruleset}"
+                f"no convergence certificate by heap {table.x_max} for {ruleset}"
             )
-    for x in range(bound, ruleset.min_action - 1, -1):
-        if opts[x] != m:
-            return ConvergenceReport(
-                ruleset=ruleset,
-                xi=x + 1,
-                converged_action=m,
-                verified_up_to=table.x_max,
-                bound_satisfied=x + 1 <= bound,
-            )
-    # Unreachable: heaps below max S cannot play max S, so a divergent
-    # position always exists in the searched prefix.
-    raise TheoremViolationError(f"no divergent position found for {ruleset}")
+        table = build_outcome_table(ruleset, min(2 * table.x_max, cap))
+    if last > bound:
+        raise TheoremViolationError(
+            f"opt({last}) = {table.opts[last]} != {m} beyond the convergence bound {bound} for {ruleset}"
+        )
+    return ConvergenceReport(
+        ruleset=ruleset,
+        xi=last + 1,
+        converged_action=m,
+        verified_up_to=max(table.x_max, cap),
+        bound_satisfied=last + 1 <= bound,
+    )
 
 
 def smallest_period(values: Sequence[int], start: int, p_max: int) -> int | None:

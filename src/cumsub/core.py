@@ -26,6 +26,11 @@ from typing import Iterable, NamedTuple
 # almost certainly a caller bug.
 HEAP_LIMIT = 1 << 40
 
+# A table holds each heap in several lists and tuples, some tens of
+# bytes a heap in all, so this many heaps is on the order of 1 GB.  A
+# larger table is refused before anything is allocated.
+TABLE_HEAP_LIMIT = 20_000_000
+
 
 class Mover(Enum):
     """The player about to move.  Positive maximizes, Negative minimizes."""
@@ -49,7 +54,10 @@ class Ruleset:
     actions: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        acts = tuple(int(a) for a in self.actions)
+        # Built from a list, not a generator: a generator-built tuple is
+        # resized from a spare slot, and every freed one refills CPython's
+        # small-tuple free lists, so a long sweep keeps growing its heap.
+        acts = tuple([int(a) for a in self.actions])
         object.__setattr__(self, "actions", acts)
         if len(acts) < 2:
             raise ValueError(f"need at least two actions, got {acts!r}")
@@ -192,8 +200,11 @@ class PlayTrace(Report):
 def _check_x_max(x_max: int) -> None:
     if x_max < 0:
         raise ValueError(f"x_max must be nonnegative, got {x_max}")
-    if x_max > HEAP_LIMIT:
-        raise ValueError(f"x_max {x_max} exceeds supported limit {HEAP_LIMIT}")
+    if x_max >= TABLE_HEAP_LIMIT:
+        raise ValueError(
+            f"x_max {x_max} needs a table of {x_max + 1} heaps, "
+            f"above the supported {TABLE_HEAP_LIMIT}"
+        )
 
 
 def _table_generic(ruleset: Ruleset, x_max: int) -> tuple[list[int], list[int | None]]:

@@ -71,8 +71,9 @@ def tr_sequence(m: int) -> TruncationProfile:
         xi = convergence_point(ruleset).xi
         tr.append(-(-xi // (2 * m)))
     xs = sorted(set(tr))
-    deltas = tuple(b - a for a, b in zip(xs, xs[1:]))
-    mult = tuple(tr.count(v) for v in xs)
+    # Exact-size tuples (from lists) keep the free lists flat; see Ruleset.
+    deltas = tuple([b - a for a, b in zip(xs, xs[1:])])
+    mult = tuple([tr.count(v) for v in xs])
     return TruncationProfile(
         m=m, tr=tuple(tr), x_values=tuple(xs), deltas=deltas, multiplicities=mult
     )
@@ -109,11 +110,11 @@ def check_duality_conjecture(profile: TruncationProfile) -> DualityConjectureRep
     expected = math.isqrt(4 * m - 7)
     distinct = len(profile.x_values)
     # tr(1) = 1 always, so dropping the value 1 means dropping the head.
-    tail_mult = tuple(
+    tail_mult = tuple([
         mult
         for value, mult in zip(profile.x_values, profile.multiplicities)
         if value != 1
-    )
+    ])
     reversed_tail = tuple(reversed(tail_mult))
     count_ok = distinct == expected
     deltas_ok = profile.deltas == reversed_tail

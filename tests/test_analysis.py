@@ -15,6 +15,7 @@ import pytest
 
 from cumsub import (
     Mover,
+    OutcomeTable,
     Ruleset,
     TheoremViolationError,
     build_outcome_table,
@@ -81,6 +82,25 @@ class TestConvergencePoint:
         table = build_outcome_table(rs, default_x_max(rs))
         assert table.opts[report.xi - 1] != 8
         assert all(table.opts[x] == 8 for x in range(report.xi, table.x_max + 1))
+
+    def test_opt_off_max_beyond_bound_is_violation(self):
+        # A table whose opt(100) is not 7, past the bound 98 for {5,7}.
+        rs = Ruleset((5, 7))
+        real = build_outcome_table(rs, default_x_max(rs))
+        opts = list(real.opts)
+        opts[100] = 5
+        forged = OutcomeTable(rs, real.x_max, real.outcomes, tuple(opts))
+        with pytest.raises(TheoremViolationError, match="beyond the convergence bound"):
+            convergence_point(rs, forged)
+
+    def test_no_certificate_by_default_x_max_is_violation(self):
+        # opt is not 7 in the top 2*7 heaps, so no table size certifies xi.
+        rs = Ruleset((5, 7))
+        real = build_outcome_table(rs, default_x_max(rs))
+        opts = real.opts[:-1] + (5,)
+        forged = OutcomeTable(rs, real.x_max, real.outcomes, opts)
+        with pytest.raises(TheoremViolationError, match="no convergence certificate"):
+            convergence_point(rs, forged)
 
     def test_as_dict_schema(self):
         d = convergence_point(Ruleset((5, 7))).as_dict()

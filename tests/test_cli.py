@@ -126,6 +126,13 @@ class TestConverge:
         assert "xi = 31" in out
         assert "period = 14" in out
 
+    def test_table_too_large_is_usage_error(self, capsys):
+        # default_x_max is about 2*10^10 heaps here: refused, not allocated.
+        code, out, err = run(capsys, ["converge", "-S", "1,100000"])
+        assert code == 2
+        assert out == ""
+        assert "above the supported" in err
+
 
 class TestTwoAction:
     def test_json_5_7(self, capsys):

@@ -26,7 +26,7 @@ from cumsub import (
     opt_action,
     rulesets_with_max_at_most,
 )
-from cumsub.core import _table_contiguous, _table_generic
+from cumsub.core import TABLE_HEAP_LIMIT, _table_contiguous, _table_generic
 
 # o(x) and opt(x) for S={5,7}, x = 0..55, one tuple entry per heap.
 O_57 = (
@@ -179,6 +179,13 @@ class TestOutcomeTable:
             build_outcome_table(Ruleset((5, 7)), -1)
         with pytest.raises(ValueError):
             build_outcome_table(Ruleset((5, 7)), HEAP_LIMIT + 1)
+
+    def test_rejects_table_above_heap_count_limit(self):
+        # Refused before any list is allocated, so this costs nothing.
+        with pytest.raises(ValueError, match="above the supported"):
+            build_outcome_table(Ruleset((5, 7)), TABLE_HEAP_LIMIT)
+        with pytest.raises(ValueError, match="above the supported"):
+            minimax_values(Ruleset((5, 7)), TABLE_HEAP_LIMIT)
 
 
 class TestContiguousFastPath:

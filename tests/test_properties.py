@@ -1,4 +1,5 @@
-"""Property tests: closed forms and period probes against the dynamic program.
+"""Property tests: closed forms, period probes, the convergence certificate
+and the optimal-action tie-break against independent computations.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 checks the same cases.
@@ -16,6 +17,7 @@ from cumsub import (
     build_outcome_table,
     build_two_action,
     canonical_trace,
+    convergence_point,
     default_x_max,
     eventual_period,
     row_period,
@@ -28,6 +30,12 @@ pairs = st.integers(2, 80).flatmap(lambda s1: st.tuples(st.integers(1, s1 - 1), 
 
 rulesets = st.integers(2, 12).flatmap(
     lambda m: st.lists(st.integers(1, m - 1), min_size=1, max_size=3, unique=True).map(
+        lambda rest: Ruleset(tuple(sorted(rest)) + (m,))
+    )
+)
+
+wide_rulesets = st.integers(2, 40).flatmap(
+    lambda m: st.lists(st.integers(1, m - 1), min_size=1, max_size=min(4, m - 1), unique=True).map(
         lambda rest: Ruleset(tuple(sorted(rest)) + (m,))
     )
 )
@@ -85,3 +93,47 @@ def test_trace_summaries_match_trace_replay(rs):
         assert plies[x] == len(trace.moves), x
         positive_last = bool(trace.moves) and trace.moves[-1].mover is Mover.POSITIVE
         assert positive_last == (plies[x] % 2 == 1), x
+
+
+def _largest_maximizers(rs, x_max):
+    """opt(h) from an explicit two-table minimax: one value table per mover.
+
+    Positive's largest action maximizing s + vn[h-s], where vn is the value
+    with Negative to move, which minimizes -s + vp[h-s].  None at terminal
+    heaps.  Shares no code with the single-table DP.
+    """
+    vp = [0] * (x_max + 1)
+    vn = [0] * (x_max + 1)
+    opts = [None] * (x_max + 1)
+    for h in range(rs.min_action, x_max + 1):
+        playable = [s for s in rs.actions if s <= h]
+        vp[h] = max(s + vn[h - s] for s in playable)
+        vn[h] = min(-s + vp[h - s] for s in playable)
+        opts[h] = max(s for s in playable if s + vn[h - s] == vp[h])
+    return opts
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sized_rulesets)
+def test_opt_is_largest_maximizer_of_two_table_minimax(rs):
+    x_max = 200
+    assert list(build_outcome_table(rs, x_max).opts) == _largest_maximizers(rs, x_max)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(wide_rulesets)
+def test_certified_xi_matches_full_table(rs):
+    m = rs.max_action
+    table = build_outcome_table(rs, default_x_max(rs))
+    last = max(x for x in range(table.x_max + 1) if table.opts[x] != m)
+    assert convergence_point(rs).xi == convergence_point(rs, table).xi == last + 1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(wide_rulesets)
+def test_opt_is_max_from_certified_xi_far_past_window(rs):
+    m = rs.max_action
+    xi = convergence_point(rs).xi
+    table = build_outcome_table(rs, 3 * default_x_max(rs))
+    assert table.opts[xi - 1] != m
+    assert all(table.opts[x] == m for x in range(xi, table.x_max + 1))

@@ -11,6 +11,8 @@ hold on every m tested.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from cumsub import (
@@ -160,6 +162,20 @@ class TestSweep:
         reports = sweep_truncated(3, 4)
         assert len(reports) == 2
         assert reports[0]["theorem"]["matches_stated"] is True
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython", reason="needs CPython's allocated-block count"
+    )
+    def test_repeated_sweeps_keep_heap_flat(self):
+        # A generator-built tuple is resized from a spare slot, and freeing
+        # it refills CPython's small-tuple free lists, so each pass grew the
+        # heap by about 800 blocks; exact-size tuples keep it near 240.
+        # No gc.collect() here: a full collection empties the free lists.
+        sweep_truncated(2, 40)
+        before = sys.getallocatedblocks()
+        for _ in range(4):
+            sweep_truncated(2, 40)
+        assert sys.getallocatedblocks() - before < 4 * 400
 
     def test_validation(self):
         with pytest.raises(ValueError):
