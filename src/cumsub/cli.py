@@ -126,14 +126,15 @@ def cmd_grid(args) -> int:
             export_grid(grid, fmt, path)
             exports.append({"format": fmt, "path": path})
     periods = periodicity_reports(grid, max_diag=args.max_diag) if args.periods else None
-    flat = [v for row in grid.values for v in row]
+    seen = set().union(*grid.values)
+    value_min, value_max = min(seen), max(seen)
     if args.json:
         payload = {
             "ruleset": list(ruleset.actions),
             "width": grid.width,
             "height": grid.height,
-            "value_min": min(flat),
-            "value_max": max(flat),
+            "value_min": value_min,
+            "value_max": value_max,
             "exports": exports,
         }
         if periods is not None:
@@ -141,7 +142,7 @@ def cmd_grid(args) -> int:
         _emit_json(payload)
     else:
         print(f"grid {grid.width}x{grid.height} for {ruleset}: "
-              f"values in [{min(flat)}, {max(flat)}]")
+              f"values in [{value_min}, {value_max}]")
         for item in exports:
             print(f"wrote {item['format']} to {item['path']}")
         if periods is not None:

@@ -6,14 +6,21 @@ a move.  o(x1, x2) is defined by the same sign-flip recursion as the
 single-pile game, maximized over both piles.  No closed form is known;
 this module computes grids exactly and probes rows, columns, and
 diagonals for eventual periodicity to feed the open conjectures.
+
+Grids are filled one anti-diagonal d = x1 + x2 at a time.  Every move
+lowers x1 + x2 by its s >= 1, so each cell depends only on earlier
+diagonals and the cells of one diagonal are independent of each other:
+a diagonal is a few whole-list operations, not a per-cell loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import getitem, itemgetter
 
 from .analysis import conjecture_report, smallest_period
-from .core import Report, Ruleset
+from .core import TABLE_HEAP_LIMIT, Report, Ruleset
 
 _CSV_ENCODING = "ascii"
 
@@ -56,36 +63,58 @@ class LinePeriodReport(Report):
 
 
 def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
-    """Exact two-pile table: o = max over both piles of s - o(after)."""
+    """Exact two-pile table: o = max over both piles of s - o(after).
+
+    Filled by anti-diagonals d = x1 + x2 in increasing order.  A move by s
+    leads from diagonal d to diagonal d - s, so each diagonal reads only
+    finished ones and the order is exact.  Diagonal d is stored for x1 in
+    [max(0, d-H+1), min(d, W-1)], padded with max S infinities on both
+    sides; for each s the horizontal predecessors (x1-s, x2) and the
+    vertical ones (x1, x2-s) are then two contiguous slices of diagonal
+    d - s, and a predecessor off the grid reads the padding, which no
+    minimum picks.  Cells with no move (both piles below min S) come out
+    as -inf and are reset to 0.
+    """
     if width < 1 or height < 1:
         raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
+    if width * height >= TABLE_HEAP_LIMIT:
+        raise ValueError(
+            f"grid {width}x{height} has {width * height} cells, "
+            f"above the supported {TABLE_HEAP_LIMIT}"
+        )
     acts = ruleset.actions
-    rows: list[list[int]] = []
+    pad_len = ruleset.max_action
+    pad = [float("inf")] * pad_len
+    no_move = float("-inf")
+    last_dead = 2 * ruleset.min_action - 2  # last diagonal with a cell that has no move
+    diags: list[list] = []
+    for d in range(width + height - 1):
+        lo = max(0, d - height + 1)
+        n = min(d, width - 1) - lo + 1
+        best = None
+        for s in acts:
+            if s > d:
+                break
+            prev = diags[d - s]
+            start = pad_len + lo - s - max(0, d - s - height + 1)
+            cand = [
+                s - (p if p < q else q)
+                for p, q in zip(prev[start:start + n], prev[start + s:start + s + n])
+            ]
+            best = cand if best is None else [x if x > y else y for x, y in zip(best, cand)]
+        if best is None:
+            best = [0] * n
+        elif d <= last_dead:
+            best = [0 if x == no_move else x for x in best]
+        diags.append(pad + best + pad)
+    rows = []
     for x2 in range(height):
-        row = [0] * width
-        for x1 in range(width):
-            best = None
-            for s in acts:
-                if s > x1:
-                    break
-                v = s - row[x1 - s]
-                if best is None or v > best:
-                    best = v
-            for s in acts:
-                if s > x2:
-                    break
-                v = s - rows[x2 - s][x1]
-                if best is None or v > best:
-                    best = v
-            if best is not None:
-                row[x1] = best
-        rows.append(row)
-    return GridOutcome(
-        ruleset=ruleset,
-        width=width,
-        height=height,
-        values=tuple(tuple(r) for r in rows),
-    )
+        # Cell (x1, x2) is entry x1 - lo of diagonal x1 + x2: entry x1 while
+        # that diagonal starts at x1 = 0 (x1 + x2 < height), then height - 1 - x2.
+        k = min(width, height - x2)
+        slots = chain(range(pad_len, pad_len + k), repeat(pad_len + height - 1 - x2, width - k))
+        rows.append(tuple(map(getitem, diags[x2:x2 + width], slots)))
+    return GridOutcome(ruleset=ruleset, width=width, height=height, values=tuple(rows))
 
 
 def two_pile_minimax(
@@ -144,18 +173,13 @@ def column_period(grid: GridOutcome, x1: int) -> LinePeriodReport:
     m = grid.ruleset.max_action
     if grid.height < 6 * m:
         raise ValueError(f"column too short: need height >= {6 * m}, got {grid.height}")
-    line = [grid.values[x2][x1] for x2 in range(grid.height)]
-    return _line_report("column", x1, line, 2 * m)
+    return _line_report("column", x1, list(map(itemgetter(x1), grid.values)), 2 * m)
 
 
 def diagonal_period(grid: GridOutcome, k: int) -> LinePeriodReport:
     """Probe the diagonal (t, t+k) for an eventual period p <= 4*max S."""
-    t0 = max(0, -k)
-    line: list[int] = []
-    t = t0
-    while t < grid.width and t + k < grid.height:
-        line.append(grid.values[t + k][t])
-        t += 1
+    t0, t1 = max(0, -k), min(grid.width, grid.height - k)
+    line = list(map(getitem, grid.values[t0 + k:t1 + k], range(t0, t1)))
     m = grid.ruleset.max_action
     if len(line) < 6 * m:
         raise ValueError(
@@ -168,19 +192,17 @@ def _write_pnm(grid: GridOutcome, path: str, color: bool) -> None:
     m = grid.ruleset.max_action
     magic = "P6" if color else "P5"
     header = f"{magic}\n{grid.width} {grid.height}\n255\n".encode("ascii")
-    body = bytearray()
-    # Image rows run top to bottom, so emit x2 descending: row 0 lands at
-    # the bottom, matching plot-style axis orientation.
-    for x2 in range(grid.height - 1, -1, -1):
-        for v in grid.values[x2]:
-            level = v * 255 // m
-            if color:
-                body += bytes((level, 0, 255 - level))
-            else:
-                body.append(level)
+    pixel = {}
+    for v in set().union(*grid.values):
+        level = v * 255 // m
+        # bytes() refuses a level outside 0..255 before the file is opened.
+        pixel[v] = bytes((level, 0, 255 - level)) if color else bytes((level,))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        # Image rows run top to bottom, so emit x2 descending: row 0 lands
+        # at the bottom, matching plot-style axis orientation.
+        for row in reversed(grid.values):
+            fh.write(b"".join(map(pixel.__getitem__, row)))
 
 
 def export_grid(grid: GridOutcome, fmt: str, path: str) -> None:
@@ -190,9 +212,10 @@ def export_grid(grid: GridOutcome, fmt: str, path: str) -> None:
     ppm colormap runs from pure blue at 0 to pure red at max S.
     """
     if fmt == "csv":
+        text = {v: str(v) for v in set().union(*grid.values)}
         with open(path, "w", encoding=_CSV_ENCODING, newline="\n") as fh:
             for row in grid.values:
-                fh.write(",".join(str(v) for v in row))
+                fh.write(",".join(map(text.__getitem__, row)))
                 fh.write("\n")
     elif fmt == "pgm":
         _write_pnm(grid, path, color=False)

@@ -235,6 +235,13 @@ class TestGrid:
         code, _, _ = run(capsys, ["grid", "-S", "5,7", "-W", "0", "-H", "10"])
         assert code == 2
 
+    def test_grid_too_large_is_usage_error(self, capsys):
+        # 10^10 cells: refused before anything is allocated.
+        code, out, err = run(capsys, ["grid", "-S", "5,7", "-W", "100000", "-H", "100000"])
+        assert code == 2
+        assert out == ""
+        assert "above the supported" in err
+
 
 class TestScan:
     def test_one_greedy_sweep(self, capsys):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from cumsub import (
+    GridOutcome,
     Ruleset,
     build_grid,
     build_outcome_table,
@@ -26,6 +27,7 @@ from cumsub import (
     row_period,
     two_pile_minimax,
 )
+from cumsub.core import TABLE_HEAP_LIMIT
 from cumsub.multipile import periodicity_reports
 
 
@@ -89,6 +91,12 @@ class TestBuildGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_grid(Ruleset((5, 7)), 0, 10)
+
+    def test_rejects_grid_above_cell_limit(self):
+        # Refused before any list is allocated, so this costs nothing.
+        for width, height in ((100_000, 100_000), (TABLE_HEAP_LIMIT, 1), (1, TABLE_HEAP_LIMIT)):
+            with pytest.raises(ValueError, match="above the supported"):
+                build_grid(Ruleset((5, 7)), width, height)
 
 
 class TestTwoPileOracle:
@@ -263,6 +271,23 @@ class TestExports:
         assert grid23.values[0][0] == 0 and pixel(0, 0) == (0, 0, 255)
         assert grid23.values[0][3] == 3 and pixel(3, 0) == (255, 0, 0)
 
+    @pytest.mark.parametrize("fmt", ["csv", "pgm", "ppm"])
+    def test_bytes_match_per_cell_writer(self, fmt, tmp_path):
+        # Non-square, three actions: rows, columns and the image flip all
+        # have to line up.  The reference writes one cell at a time.
+        grid = build_grid(Ruleset((2, 3, 5)), 37, 23)
+        path = tmp_path / f"grid.{fmt}"
+        export_grid(grid, fmt, str(path))
+        assert path.read_bytes() == _reference_export(grid, fmt)
+
+    def test_pixel_level_out_of_range_rejected_before_writing(self, tmp_path):
+        grid = GridOutcome(Ruleset((2, 3)), 2, 1, ((0, -1),))
+        for fmt in ("pgm", "ppm"):
+            path = tmp_path / f"grid.{fmt}"
+            with pytest.raises(ValueError):
+                export_grid(grid, fmt, str(path))
+            assert not path.exists()
+
     def test_unknown_format_rejected(self, grid23, tmp_path):
         with pytest.raises(ValueError):
             export_grid(grid23, "png", str(tmp_path / "grid.png"))
@@ -270,3 +295,19 @@ class TestExports:
     def test_missing_directory_raises_oserror(self, grid23, tmp_path):
         with pytest.raises(OSError):
             export_grid(grid23, "csv", str(tmp_path / "no" / "such" / "dir.csv"))
+
+
+def _reference_export(grid, fmt):
+    """Per-cell export: CSV rows x2 ascending, image rows x2 descending."""
+    if fmt == "csv":
+        text = ""
+        for x2 in range(grid.height):
+            text += ",".join(str(grid.outcome(x1, x2)) for x1 in range(grid.width)) + "\n"
+        return text.encode("ascii")
+    m = grid.ruleset.max_action
+    blob = bytearray(f"{'P6' if fmt == 'ppm' else 'P5'}\n{grid.width} {grid.height}\n255\n".encode())
+    for x2 in range(grid.height - 1, -1, -1):
+        for x1 in range(grid.width):
+            level = grid.outcome(x1, x2) * 255 // m
+            blob += bytes((level, 0, 255 - level)) if fmt == "ppm" else bytes((level,))
+    return bytes(blob)

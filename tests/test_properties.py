@@ -1,5 +1,6 @@
-"""Property tests: closed forms, period probes, the convergence certificate
-and the optimal-action tie-break against independent computations.
+"""Property tests: closed forms, period probes, the convergence certificate,
+the optimal-action tie-break and two-pile grids against independent
+computations.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 checks the same cases.
@@ -22,6 +23,7 @@ from cumsub import (
     eventual_period,
     row_period,
     two_action_opt,
+    two_pile_minimax,
     two_action_outcome,
 )
 from cumsub.analysis import _trace_summaries
@@ -40,11 +42,17 @@ wide_rulesets = st.integers(2, 40).flatmap(
     )
 )
 
-sized_rulesets = st.integers(2, 5).flatmap(
-    lambda k: st.lists(st.integers(1, 15), min_size=k, max_size=k, unique=True).map(
-        lambda acts: Ruleset(tuple(sorted(acts)))
+
+def sized_action_sets(top):
+    """Rulesets of 2 to 5 distinct actions drawn from 1..top."""
+    return st.integers(2, 5).flatmap(
+        lambda k: st.lists(st.integers(1, top), min_size=k, max_size=k, unique=True).map(
+            lambda acts: Ruleset(tuple(sorted(acts)))
+        )
     )
-)
+
+
+sized_rulesets = sized_action_sets(15)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -137,3 +145,27 @@ def test_opt_is_max_from_certified_xi_far_past_window(rs):
     table = build_outcome_table(rs, 3 * default_x_max(rs))
     assert table.opts[xi - 1] != m
     assert all(table.opts[x] == m for x in range(xi, table.x_max + 1))
+
+
+grid_shapes = st.tuples(sized_action_sets(12), st.integers(1, 60), st.integers(1, 60))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(grid_shapes)
+def test_grid_matches_two_pile_oracle(shape):
+    # Rectangles, sides shorter than max S included: the per-diagonal
+    # offsets of the wavefront fill are where a shape bug would show.
+    rs, width, height = shape
+    grid = build_grid(rs, width, height)
+    memo = {}
+    for x2 in range(height):
+        for x1 in range(width):
+            v = grid.values[x2][x1]
+            assert type(v) is int, (x1, x2)
+            assert v == two_pile_minimax(rs, x1, x2, memo), (x1, x2)
+    for x2 in range(min(width, height)):
+        for x1 in range(x2):
+            assert grid.values[x2][x1] == grid.values[x1][x2], (x1, x2)
+    dead = build_outcome_table(rs, width - 1).outcomes
+    for x2 in range(min(rs.min_action, height)):
+        assert grid.values[x2] == dead, x2
