@@ -126,8 +126,7 @@ def cmd_grid(args) -> int:
             export_grid(grid, fmt, path)
             exports.append({"format": fmt, "path": path})
     periods = periodicity_reports(grid, max_diag=args.max_diag) if args.periods else None
-    seen = set().union(*grid.values)
-    value_min, value_max = min(seen), max(seen)
+    value_min, value_max = min(grid.value_set), max(grid.value_set)
     if args.json:
         payload = {
             "ruleset": list(ruleset.actions),

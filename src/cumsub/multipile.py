@@ -16,6 +16,7 @@ a diagonal is a few whole-list operations, not a per-cell loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from operator import getitem, itemgetter
 
@@ -44,6 +45,11 @@ class GridOutcome:
             )
         return self.values[x2][x1]
 
+    @cached_property
+    def value_set(self) -> frozenset[int]:
+        """The distinct outcomes in the grid, scanned once per grid."""
+        return frozenset().union(*self.values)
+
 
 @dataclass(frozen=True)
 class LinePeriodReport(Report):
@@ -68,12 +74,13 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     Filled by anti-diagonals d = x1 + x2 in increasing order.  A move by s
     leads from diagonal d to diagonal d - s, so each diagonal reads only
     finished ones and the order is exact.  Diagonal d is stored for x1 in
-    [max(0, d-H+1), min(d, W-1)], padded with max S infinities on both
-    sides; for each s the horizontal predecessors (x1-s, x2) and the
-    vertical ones (x1, x2-s) are then two contiguous slices of diagonal
-    d - s, and a predecessor off the grid reads the padding, which no
-    minimum picks.  Cells with no move (both piles below min S) come out
-    as -inf and are reset to 0.
+    [lo, hi] = [max(0, d-H+1), min(d, W-1)].  For each s the vertical
+    predecessors (x1, x2-s) are a contiguous slice of diagonal d - s that
+    ends early where x2 < s, and the horizontal ones (x1-s, x2) a slice
+    that starts late where x1 < s; infinities, which no minimum picks,
+    fill the cells with no such move.  Nothing is padded, so memory stays
+    proportional to the grid whatever max S is.  Cells with no move at
+    all (both piles below min S) come out as -inf and are reset to 0.
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
@@ -82,37 +89,39 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
             f"grid {width}x{height} has {width * height} cells, "
             f"above the supported {TABLE_HEAP_LIMIT}"
         )
-    acts = ruleset.actions
-    pad_len = ruleset.max_action
-    pad = [float("inf")] * pad_len
     no_move = float("-inf")
+    off_grid = [float("inf")] * min(width, height)  # longest diagonal
     last_dead = 2 * ruleset.min_action - 2  # last diagonal with a cell that has no move
     diags: list[list] = []
     for d in range(width + height - 1):
         lo = max(0, d - height + 1)
         n = min(d, width - 1) - lo + 1
         best = None
-        for s in acts:
+        for s in ruleset.actions:
             if s > d:
                 break
             prev = diags[d - s]
-            start = pad_len + lo - s - max(0, d - s - height + 1)
-            cand = [
-                s - (p if p < q else q)
-                for p, q in zip(prev[start:start + n], prev[start + s:start + s + n])
-            ]
+            a = lo - max(0, d - s - height + 1)  # where (lo, d - lo - s) sits in prev
+            v = prev[a:a + n]
+            v += off_grid[:n - len(v)]  # cells x2 < s have no vertical move
+            if s > lo:  # cells x1 < s have no horizontal move
+                k = min(n, s - lo)
+                h = off_grid[:k] + prev[:n - k]
+            else:
+                h = prev[a - s:a - s + n]
+            cand = [s - (p if p < q else q) for p, q in zip(h, v)]
             best = cand if best is None else [x if x > y else y for x, y in zip(best, cand)]
         if best is None:
             best = [0] * n
         elif d <= last_dead:
             best = [0 if x == no_move else x for x in best]
-        diags.append(pad + best + pad)
+        diags.append(best)
     rows = []
     for x2 in range(height):
         # Cell (x1, x2) is entry x1 - lo of diagonal x1 + x2: entry x1 while
         # that diagonal starts at x1 = 0 (x1 + x2 < height), then height - 1 - x2.
         k = min(width, height - x2)
-        slots = chain(range(pad_len, pad_len + k), repeat(pad_len + height - 1 - x2, width - k))
+        slots = chain(range(k), repeat(height - 1 - x2, width - k))
         rows.append(tuple(map(getitem, diags[x2:x2 + width], slots)))
     return GridOutcome(ruleset=ruleset, width=width, height=height, values=tuple(rows))
 
@@ -193,7 +202,7 @@ def _write_pnm(grid: GridOutcome, path: str, color: bool) -> None:
     magic = "P6" if color else "P5"
     header = f"{magic}\n{grid.width} {grid.height}\n255\n".encode("ascii")
     pixel = {}
-    for v in set().union(*grid.values):
+    for v in grid.value_set:
         level = v * 255 // m
         # bytes() refuses a level outside 0..255 before the file is opened.
         pixel[v] = bytes((level, 0, 255 - level)) if color else bytes((level,))
@@ -212,7 +221,7 @@ def export_grid(grid: GridOutcome, fmt: str, path: str) -> None:
     ppm colormap runs from pure blue at 0 to pure red at max S.
     """
     if fmt == "csv":
-        text = {v: str(v) for v in set().union(*grid.values)}
+        text = {v: str(v) for v in grid.value_set}
         with open(path, "w", encoding=_CSV_ENCODING, newline="\n") as fh:
             for row in grid.values:
                 fh.write(",".join(map(text.__getitem__, row)))

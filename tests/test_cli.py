@@ -242,6 +242,13 @@ class TestGrid:
         assert out == ""
         assert "above the supported" in err
 
+    def test_grid_with_action_beyond_both_sides(self, capsys):
+        # max S = 10^8 on a 2x2 grid: only s = 1 is playable.
+        code, out, _ = run(capsys, ["grid", "-S", "1,100000000", "-W", "2", "-H", "2", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["value_min"], payload["value_max"]) == (0, 1)
+
 
 class TestScan:
     def test_one_greedy_sweep(self, capsys):

@@ -98,6 +98,30 @@ class TestBuildGrid:
             with pytest.raises(ValueError, match="above the supported"):
                 build_grid(Ruleset((5, 7)), width, height)
 
+    @pytest.mark.parametrize(
+        "actions, width, height",
+        [
+            ((1, 10**8), 2, 2),
+            ((3, 10**8), 1, 1000),
+            ((2, 5, 10**8), 1000, 1),
+            ((10**7, 10**8), 3, 4),
+            ((1, 500), 1, 1000),
+        ],
+    )
+    def test_actions_larger_than_grid_cost_nothing(self, actions, width, height):
+        # A grid's memory must not grow with max S: these grids are small
+        # and their largest actions huge or half a side long.
+        rs = Ruleset(actions)
+        grid = build_grid(rs, width, height)
+        memo = {}
+        for x2 in range(height):
+            for x1 in range(width):
+                assert grid.values[x2][x1] == two_pile_minimax(rs, x1, x2, memo), (x1, x2)
+
+    def test_value_set(self, grid23):
+        assert grid23.value_set == {v for row in grid23.values for v in row}
+        assert grid23.value_set is grid23.value_set
+
 
 class TestTwoPileOracle:
     def test_single_pile_consistency(self):
