@@ -14,7 +14,7 @@ how large sacrifices are).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .core import (
     Mover,
@@ -116,7 +116,8 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     beyond the proven bound 2*(max S)^2, or no certificate by
     default_x_max, is reported as a theorem violation.  Since the
     certificate covers every heap, verified_up_to is only a floor:
-    max(final table x_max, default_x_max).
+    max(final table x_max, default_x_max).  The eventual period from xi
+    then needs only a table of xi + 4*max S heaps; see eventual_period.
     """
     m = ruleset.max_action
     bound = convergence_bound(ruleset)
@@ -142,26 +143,19 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     )
 
 
-def smallest_period(values: Sequence[int], start: int, p_max: int) -> int | None:
-    """Least p <= p_max with values[t] == values[t+p] for every t >= start.
-
-    A period counts only when the tail from start spans at least two of
-    it; None when no p qualifies.
-    """
-    n = len(values)
-    for p in range(1, p_max + 1):
-        if n - start < 2 * p:
-            return None
-        if values[start:n - p] == values[start + p:]:
-            return p
-    return None
-
-
 def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
-    """Minimal p <= 2*max S with o(x) = o(x+p) on the verified tail.
+    """Least p with o(x) = o(x+p) on every heap x >= tail_start, certified.
 
-    Requires at least 4*max S of table beyond tail_start so a reported
-    period rests on a couple of full cycles of evidence.
+    The table must reach tail_start + 4*max S.  Eventually o has period
+    2*max S, so by the Fine-Wilf lemma (1965) its least period divides
+    2*max S, and only those divisors are tried against the table's tail.
+    Each o(x) with x >= max S depends only on the max S values below it,
+    so a tail of at least 3*max S heaps repeating at lag p repeats those
+    windows, and with them every later value: the period holds on every
+    heap from tail_start on, not just inside the table.  verified_up_to is
+    therefore only a floor, max(table x_max, default_x_max), as in
+    ConvergenceReport.  The tail from convergence_point's xi is always
+    periodic, so xi and a table of xi + 4*max S heaps certify the period.
     """
     m = table.ruleset.max_action
     if tail_start < 0 or tail_start > table.x_max:
@@ -171,13 +165,14 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
             f"window too small: need tail_start + {4 * m} <= x_max, "
             f"got tail_start={tail_start}, x_max={table.x_max}"
         )
-    top = table.x_max
-    period = smallest_period(table.outcomes, tail_start, 2 * m)
-    if period is None:
-        raise TheoremViolationError(
-            f"no period up to {2 * m} on tail [{tail_start}, {top}] for {table.ruleset}"
-        )
-    return PeriodReport(period=period, tail_start=tail_start, verified_up_to=top)
+    tail = table.outcomes[tail_start:]
+    for p in range(1, 2 * m + 1):
+        if (2 * m) % p == 0 and tail[p:] == tail[:-p]:
+            top = max(table.x_max, default_x_max(table.ruleset))
+            return PeriodReport(period=p, tail_start=tail_start, verified_up_to=top)
+    raise TheoremViolationError(
+        f"no period dividing {2 * m} on tail [{tail_start}, {table.x_max}] for {table.ruleset}"
+    )
 
 
 def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[list[int], list[int], list[int]]:

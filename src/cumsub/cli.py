@@ -16,7 +16,6 @@ from .analysis import (
     TheoremViolationError,
     convergence_bound,
     convergence_point,
-    default_x_max,
     eventual_period,
     observation_sweep_report,
     sacrifice_conjecture_report,
@@ -43,8 +42,6 @@ def _emit_json(payload) -> None:
 
 def cmd_table(args) -> int:
     ruleset = parse_ruleset(args.ruleset)
-    if args.x_max < 0:
-        raise ValueError(f"x_max must be nonnegative, got {args.x_max}")
     table = build_outcome_table(ruleset, args.x_max)
     if args.json or args.format == "json":
         _emit_json(
@@ -72,8 +69,8 @@ def cmd_table(args) -> int:
 
 def cmd_converge(args) -> int:
     ruleset = parse_ruleset(args.ruleset)
-    table = build_outcome_table(ruleset, default_x_max(ruleset))
-    report = convergence_point(ruleset, table)
+    report = convergence_point(ruleset)
+    table = build_outcome_table(ruleset, report.xi + 4 * ruleset.max_action)
     period = eventual_period(table, report.xi)
     if args.json:
         payload = report.as_dict()

@@ -21,11 +21,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-# Heaps above this are rejected outright: results are meant to live
-# comfortably inside 64-bit signed arithmetic, and a larger request is
-# almost certainly a caller bug.
-HEAP_LIMIT = 1 << 40
-
 # A table holds each heap in several lists and tuples, some tens of
 # bytes a heap in all, so this many heaps is on the order of 1 GB.  A
 # larger table is refused before anything is allocated.
@@ -102,31 +97,6 @@ class Ruleset:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(a) for a in self.actions) + "}"
-
-
-@dataclass(frozen=True)
-class Position:
-    """A heap together with the running score accumulated so far."""
-
-    heap: int
-    score: int = 0
-
-    def __post_init__(self) -> None:
-        if self.heap < 0:
-            raise ValueError(f"heap must be nonnegative, got {self.heap}")
-        if self.heap > HEAP_LIMIT:
-            raise ValueError(f"heap {self.heap} exceeds supported limit {HEAP_LIMIT}")
-
-    def is_terminal(self, ruleset: Ruleset) -> bool:
-        return ruleset.is_terminal(self.heap)
-
-    def after(self, ruleset: Ruleset, mover: Mover, action: int) -> "Position":
-        """The position reached when `mover` removes `action` pebbles."""
-        if action not in ruleset.actions:
-            raise ValueError(f"{action} is not an action of {ruleset}")
-        if action > self.heap:
-            raise ValueError(f"cannot remove {action} from heap {self.heap}")
-        return Position(self.heap - action, self.score + mover.sign * action)
 
 
 @dataclass(frozen=True)
@@ -271,15 +241,6 @@ def build_outcome_table(ruleset: Ruleset, x_max: int) -> OutcomeTable:
     return OutcomeTable(ruleset=ruleset, x_max=x_max, outcomes=tuple(o), opts=tuple(opts))
 
 
-def opt_action(table: OutcomeTable, x: int) -> int:
-    """The canonical optimal action at heap x (largest maximizer)."""
-    if not 0 <= x <= table.x_max:
-        raise ValueError(f"heap {x} outside table range 0..{table.x_max}")
-    if table.ruleset.is_terminal(x):
-        raise ValueError(f"heap {x} is terminal for {table.ruleset}; no action exists")
-    return table.opts[x]
-
-
 def minimax_values(ruleset: Ruleset, x_max: int) -> tuple[int, ...]:
     """Game values for heaps 0..x_max from an explicit two-player search.
 
@@ -318,8 +279,8 @@ def canonical_trace(
     The starting score only shifts the recorded scores; it never changes
     which actions are played.
     """
-    if x < 0 or x > HEAP_LIMIT:
-        raise ValueError(f"start heap {x} out of supported range")
+    if x < 0:
+        raise ValueError(f"start heap must be nonnegative, got {x}")
     if table is None:
         table = build_outcome_table(ruleset, x)
     elif table.ruleset != ruleset or table.x_max < x:
@@ -335,15 +296,6 @@ def canonical_trace(
         heap -= action
         mover = mover.opponent
     return PlayTrace(start_heap=x, start_score=start_score, moves=tuple(moves), final_score=score)
-
-
-def is_sacrifice(ruleset: Ruleset, heap: int, action: int) -> bool:
-    """True when `action` is legal at `heap` but not the greedy choice."""
-    if action not in ruleset.actions:
-        raise ValueError(f"{action} is not an action of {ruleset}")
-    if action > heap:
-        raise ValueError(f"cannot remove {action} from heap {heap}")
-    return action != ruleset.greedy_action(heap)
 
 
 def rulesets_with_max_at_most(max_s: int, sizes: Iterable[int]) -> list[Ruleset]:

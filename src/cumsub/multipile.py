@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import getitem, itemgetter
 
-from .analysis import conjecture_report, smallest_period
+from .analysis import conjecture_report
 from .core import TABLE_HEAP_LIMIT, Report, Ruleset
 
 _CSV_ENCODING = "ascii"
@@ -159,10 +159,18 @@ def two_pile_minimax(
 def _line_report(
     kind: str, index: int, line: list[int], p_max: int, t0: int = 0
 ) -> LinePeriodReport:
-    """Minimal period on the last-third tail of a line starting at t = t0."""
-    tail = (2 * len(line)) // 3
-    period = smallest_period(line, tail, p_max)
-    return LinePeriodReport(kind, index, period, t0 + tail, t0 + len(line) - 1)
+    """Minimal period on the last-third tail of a line starting at t = t0.
+
+    A period p <= p_max counts only when the tail spans at least two of it.
+    """
+    n = len(line)
+    tail = (2 * n) // 3
+    period = None
+    for p in range(1, min(p_max, (n - tail) // 2) + 1):
+        if line[tail:n - p] == line[tail + p:]:
+            period = p
+            break
+    return LinePeriodReport(kind, index, period, t0 + tail, t0 + n - 1)
 
 
 def row_period(grid: GridOutcome, x2: int) -> LinePeriodReport:

@@ -89,8 +89,16 @@ class TestTable:
         assert code == 2
 
     def test_negative_x_max_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, ["table", "-S", "5,7", "-x", "-1"])
+        code, _, err = run(capsys, ["table", "-S", "5,7", "-x", "-1"])
         assert code == 2
+        assert "x_max must be nonnegative" in err
+
+    def test_table_too_large_is_usage_error(self, capsys):
+        # 2*10^7 heaps: refused before anything is allocated.
+        code, out, err = run(capsys, ["table", "-S", "5,7", "-x", "20000000"])
+        assert code == 2
+        assert out == ""
+        assert "above the supported" in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, ["table", "-S", "5,7", "-x", "55", "--json"])
@@ -126,12 +134,25 @@ class TestConverge:
         assert "xi = 31" in out
         assert "period = 14" in out
 
-    def test_table_too_large_is_usage_error(self, capsys):
-        # default_x_max is about 2*10^10 heaps here: refused, not allocated.
-        code, out, err = run(capsys, ["converge", "-S", "1,100000"])
-        assert code == 2
-        assert out == ""
-        assert "above the supported" in err
+    def test_large_max_action_converges(self, capsys):
+        # default_x_max is about 2*10^10 heaps here, far above the table
+        # cap; the certified path tabulates a few multiples of max S.
+        code, out, _ = run(capsys, ["converge", "-S", "1,100000", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["xi"] == 100000
+        assert payload["period"]["period"] == 200000
+
+    def test_json_1_2000(self, capsys):
+        code, out, _ = run(capsys, ["converge", "-S", "1,2000", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["xi"] == 2000
+        assert payload["period"] == {
+            "period": 4000,
+            "tail_start": 2000,
+            "verified_up_to": 2 * 2000**2 + 4 * 2000,
+        }
 
 
 class TestTwoAction:

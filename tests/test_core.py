@@ -14,16 +14,12 @@ import random
 import pytest
 
 from cumsub import (
-    HEAP_LIMIT,
     Mover,
     OutcomeTable,
-    Position,
     Ruleset,
     build_outcome_table,
     canonical_trace,
-    is_sacrifice,
     minimax_values,
-    opt_action,
     rulesets_with_max_at_most,
 )
 from cumsub.core import TABLE_HEAP_LIMIT, _table_contiguous, _table_generic
@@ -93,32 +89,6 @@ class TestRuleset:
             rs.greedy_action(4)
 
 
-class TestPosition:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Position(-1)
-        with pytest.raises(ValueError):
-            Position(HEAP_LIMIT + 1)
-        assert Position(0).score == 0
-
-    def test_after_moves_and_scores(self):
-        rs = Ruleset((5, 7))
-        pos = Position(17)
-        nxt = pos.after(rs, Mover.POSITIVE, 5)
-        assert (nxt.heap, nxt.score) == (12, 5)
-        nxt = nxt.after(rs, Mover.NEGATIVE, 7)
-        assert (nxt.heap, nxt.score) == (5, -2)
-        assert not nxt.is_terminal(rs)
-        assert nxt.after(rs, Mover.POSITIVE, 5).is_terminal(rs)
-
-    def test_after_rejects_illegal(self):
-        rs = Ruleset((5, 7))
-        with pytest.raises(ValueError):
-            Position(17).after(rs, Mover.POSITIVE, 6)
-        with pytest.raises(ValueError):
-            Position(6).after(rs, Mover.POSITIVE, 7)
-
-
 class TestMover:
     def test_signs(self):
         assert Mover.POSITIVE.sign == 1
@@ -139,7 +109,7 @@ class TestOutcomeTable:
         # Heap 7 in {2,3}: the sacrifice 2 is strictly better than greedy 3.
         table = build_outcome_table(Ruleset((2, 3)), 7)
         assert table.outcome(7) == 1
-        assert opt_action(table, 7) == 2
+        assert table.opts[7] == 2
 
     def test_terminal_entries(self):
         table = build_outcome_table(Ruleset((5, 7)), 55)
@@ -177,8 +147,8 @@ class TestOutcomeTable:
     def test_rejects_bad_x_max(self):
         with pytest.raises(ValueError):
             build_outcome_table(Ruleset((5, 7)), -1)
-        with pytest.raises(ValueError):
-            build_outcome_table(Ruleset((5, 7)), HEAP_LIMIT + 1)
+        with pytest.raises(ValueError, match="above the supported"):
+            build_outcome_table(Ruleset((5, 7)), 1 << 40)
 
     def test_rejects_table_above_heap_count_limit(self):
         # Refused before any list is allocated, so this costs nothing.
@@ -211,21 +181,11 @@ class TestContiguousFastPath:
 
 
 class TestOptAction:
-    def test_terminal_heap_rejected(self):
-        table = build_outcome_table(Ruleset((5, 7)), 20)
-        with pytest.raises(ValueError):
-            opt_action(table, 4)
-
-    def test_out_of_range_rejected(self):
-        table = build_outcome_table(Ruleset((5, 7)), 20)
-        with pytest.raises(ValueError):
-            opt_action(table, 21)
-
     def test_largest_tie_break(self):
         # At heap 43 in {5,7} both actions achieve o=1; opt picks 7.
         table = build_outcome_table(Ruleset((5, 7)), 43)
         assert 5 - table.outcomes[38] == 7 - table.outcomes[36] == 1
-        assert opt_action(table, 43) == 7
+        assert table.opts[43] == 7
         assert table.outcomes[43] == 1
 
 
@@ -314,29 +274,15 @@ class TestCanonicalTrace:
     def test_rejects_out_of_range_start(self):
         with pytest.raises(ValueError):
             canonical_trace(Ruleset((5, 7)), -1)
-        with pytest.raises(ValueError):
-            canonical_trace(Ruleset((5, 7)), HEAP_LIMIT + 1)
+        # Too large a start is refused by the table cap, before allocation.
+        with pytest.raises(ValueError, match="above the supported"):
+            canonical_trace(Ruleset((5, 7)), TABLE_HEAP_LIMIT)
 
     def test_as_dict_schema(self):
         d = canonical_trace(Ruleset((2, 3)), 7).as_dict()
         assert d["start_heap"] == 7
         assert d["final_score"] == 1
         assert d["moves"][0] == {"mover": "positive", "action": 2, "score_after": 2}
-
-
-class TestIsSacrifice:
-    def test_sacrifice_detection(self):
-        rs = Ruleset((5, 7))
-        assert is_sacrifice(rs, 17, 5)
-        assert not is_sacrifice(rs, 17, 7)
-        assert not is_sacrifice(rs, 6, 5)
-
-    def test_rejects_illegal_action(self):
-        rs = Ruleset((5, 7))
-        with pytest.raises(ValueError):
-            is_sacrifice(rs, 17, 6)
-        with pytest.raises(ValueError):
-            is_sacrifice(rs, 6, 7)
 
 
 class TestRulesetEnumeration:

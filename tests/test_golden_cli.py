@@ -7,7 +7,9 @@ Arguments may name ``{tmp}``, a fresh directory per case; that path is
 written as ``{tmp}`` in the recorded stdout.
 
 To re-record after an intended output change, run
-``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden_cli.py --record`` and review
+the diff.  Run as a script without exactly that flag, it prints a usage
+line and exits nonzero without touching a file.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -104,4 +107,6 @@ def _record() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --record")
     _record()

@@ -1,6 +1,6 @@
-"""Property tests: closed forms, period probes, the convergence certificate,
-the optimal-action tie-break and two-pile grids against independent
-computations.
+"""Property tests: closed forms, period probes, the convergence and period
+certificates, the optimal-action tie-break and two-pile grids against
+independent computations.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 checks the same cases.
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cumsub import (
     Mover,
     Ruleset,
+    TheoremViolationError,
     build_grid,
     build_outcome_table,
     build_two_action,
@@ -145,6 +146,47 @@ def test_opt_is_max_from_certified_xi_far_past_window(rs):
     table = build_outcome_table(rs, 3 * default_x_max(rs))
     assert table.opts[xi - 1] != m
     assert all(table.opts[x] == m for x in range(xi, table.x_max + 1))
+
+
+def _naive_period(values, start, p_cap):
+    """First p <= p_cap with values[x] == values[x+p] on the whole tail."""
+    for p in range(1, p_cap + 1):
+        if all(values[x] == values[x + p] for x in range(start, len(values) - p)):
+            return p
+    return None
+
+
+def _period_or_none(table, tail_start):
+    try:
+        return eventual_period(table, tail_start).period
+    except TheoremViolationError:
+        return None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(wide_rulesets, st.data())
+def test_divisor_period_matches_all_p_scan(rs, data):
+    # Any tail_start, periodic from there or not: only divisors of 2*max S
+    # are tried, yet the answer is the one every p <= 2*max S would give.
+    m = rs.max_action
+    full = build_outcome_table(rs, default_x_max(rs))
+    tail_start = data.draw(st.integers(0, full.x_max - 4 * m))
+    short = build_outcome_table(rs, tail_start + 4 * m)
+    for table in (full, short):
+        assert _period_or_none(table, tail_start) == _naive_period(
+            table.outcomes, tail_start, 2 * m
+        ), table.x_max
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(wide_rulesets)
+def test_certified_period_holds_far_past_window(rs):
+    m = rs.max_action
+    xi = convergence_point(rs).xi
+    report = eventual_period(build_outcome_table(rs, xi + 4 * m), xi)
+    assert report.verified_up_to == default_x_max(rs)
+    far = build_outcome_table(rs, 3 * default_x_max(rs))
+    assert _naive_period(far.outcomes, xi, 2 * m) == report.period
 
 
 grid_shapes = st.tuples(sized_action_sets(12), st.integers(1, 60), st.integers(1, 60))
