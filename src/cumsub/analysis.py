@@ -43,19 +43,20 @@ def default_x_max(ruleset: Ruleset) -> int:
 
 
 @dataclass(frozen=True)
+class PeriodReport(Report):
+    period: int
+    tail_start: int
+    verified_up_to: int
+
+
+@dataclass(frozen=True)
 class ConvergenceReport(Report):
     ruleset: Ruleset
     xi: int
     converged_action: int
     verified_up_to: int
     bound_satisfied: bool
-
-
-@dataclass(frozen=True)
-class PeriodReport(Report):
-    period: int
-    tail_start: int
-    verified_up_to: int
+    period: PeriodReport
 
 
 @dataclass(frozen=True)
@@ -110,14 +111,15 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
 
     The constant action is always max S.  The search starts from the
     caller's table when it has at least 8*max S heaps, else from one of
-    8*max S heaps, and doubles it up to default_x_max until its top
-    3*max S outcomes certify, by window repetition, that opt = max S on
-    every heap from xi on, not just inside the table.  A non-greedy opt
-    beyond the proven bound 2*(max S)^2, or no certificate by
-    default_x_max, is reported as a theorem violation.  Since the
+    8*max S heaps, and grows it in place, doubling up to default_x_max,
+    until its top 3*max S outcomes certify, by window repetition, that
+    opt = max S on every heap from xi on, not just inside the table.  A
+    non-greedy opt beyond the proven bound 2*(max S)^2, or no certificate
+    by default_x_max, is reported as a theorem violation.  Since the
     certificate covers every heap, verified_up_to is only a floor:
-    max(final table x_max, default_x_max).  The eventual period from xi
-    then needs only a table of xi + 4*max S heaps; see eventual_period.
+    max(final table x_max, default_x_max).  The same table, grown to
+    xi + 4*max S heaps if shorter, then certifies the period from xi
+    (see eventual_period); failing there is a theorem violation too.
     """
     m = ruleset.max_action
     bound = convergence_bound(ruleset)
@@ -129,17 +131,24 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
             raise TheoremViolationError(
                 f"no convergence certificate by heap {table.x_max} for {ruleset}"
             )
-        table = build_outcome_table(ruleset, min(2 * table.x_max, cap))
+        table = build_outcome_table(ruleset, min(2 * table.x_max, cap), table)
     if last > bound:
         raise TheoremViolationError(
             f"opt({last}) = {table.opts[last]} != {m} beyond the convergence bound {bound} for {ruleset}"
         )
+    if table.x_max < last + 1 + 4 * m:
+        table = build_outcome_table(ruleset, last + 1 + 4 * m, table)
+    try:
+        period = eventual_period(table, last + 1)
+    except ValueError as exc:
+        raise TheoremViolationError(f"{exc} past the certified xi") from exc
     return ConvergenceReport(
         ruleset=ruleset,
         xi=last + 1,
         converged_action=m,
         verified_up_to=max(table.x_max, cap),
         bound_satisfied=last + 1 <= bound,
+        period=period,
     )
 
 
@@ -148,14 +157,14 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
 
     The table must reach tail_start + 4*max S.  Eventually o has period
     2*max S, so by the Fine-Wilf lemma (1965) its least period divides
-    2*max S, and only those divisors are tried against the table's tail.
-    Each o(x) with x >= max S depends only on the max S values below it,
-    so a tail of at least 3*max S heaps repeating at lag p repeats those
-    windows, and with them every later value: the period holds on every
-    heap from tail_start on, not just inside the table.  verified_up_to is
+    2*max S, and only those divisors are tried, on the 4*max S heaps from
+    tail_start.  Each o(x) with x >= max S depends only on the max S values
+    below it, so 3*max S heaps repeating at lag p repeat those windows, and
+    with them every later value: the period holds on every heap from
+    tail_start on, not just inside the window.  verified_up_to is
     therefore only a floor, max(table x_max, default_x_max), as in
-    ConvergenceReport.  The tail from convergence_point's xi is always
-    periodic, so xi and a table of xi + 4*max S heaps certify the period.
+    ConvergenceReport.  A tail not yet periodic raises ValueError; the
+    tail from convergence_point's xi is always periodic.
     """
     m = table.ruleset.max_action
     if tail_start < 0 or tail_start > table.x_max:
@@ -165,12 +174,12 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
             f"window too small: need tail_start + {4 * m} <= x_max, "
             f"got tail_start={tail_start}, x_max={table.x_max}"
         )
-    tail = table.outcomes[tail_start:]
+    tail = table.outcomes[tail_start:tail_start + 4 * m]
     for p in range(1, 2 * m + 1):
         if (2 * m) % p == 0 and tail[p:] == tail[:-p]:
             top = max(table.x_max, default_x_max(table.ruleset))
             return PeriodReport(period=p, tail_start=tail_start, verified_up_to=top)
-    raise TheoremViolationError(
+    raise ValueError(
         f"no period dividing {2 * m} on tail [{tail_start}, {table.x_max}] for {table.ruleset}"
     )
 

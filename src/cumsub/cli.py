@@ -16,7 +16,6 @@ from .analysis import (
     TheoremViolationError,
     convergence_bound,
     convergence_point,
-    eventual_period,
     observation_sweep_report,
     sacrifice_conjecture_report,
 )
@@ -70,19 +69,15 @@ def cmd_table(args) -> int:
 def cmd_converge(args) -> int:
     ruleset = parse_ruleset(args.ruleset)
     report = convergence_point(ruleset)
-    table = build_outcome_table(ruleset, report.xi + 4 * ruleset.max_action)
-    period = eventual_period(table, report.xi)
     if args.json:
-        payload = report.as_dict()
-        payload["period"] = period.as_dict()
-        _emit_json(payload)
+        _emit_json(report.as_dict())
     else:
         print(f"ruleset {ruleset}")
         print(f"converges at xi = {report.xi} (bound {convergence_bound(ruleset)}, "
               f"satisfied: {report.bound_satisfied})")
         print(f"converged action = {report.converged_action}")
-        print(f"eventual period = {period.period} "
-              f"(verified on [{period.tail_start}, {period.verified_up_to}])")
+        print(f"eventual period = {report.period.period} "
+              f"(verified on [{report.period.tail_start}, {report.period.verified_up_to}])")
     return 0
 
 

@@ -177,11 +177,9 @@ def _check_x_max(x_max: int) -> None:
         )
 
 
-def _table_generic(ruleset: Ruleset, x_max: int) -> tuple[list[int], list[int | None]]:
+def _table_generic(ruleset: Ruleset, o: list[int], opts: list[int | None], start: int) -> None:
     acts = ruleset.actions
-    o: list[int] = [0] * (x_max + 1)
-    opts: list[int | None] = [None] * (x_max + 1)
-    for x in range(ruleset.min_action, x_max + 1):
+    for x in range(max(ruleset.min_action, start), len(o)):
         best = None
         best_s = None
         for s in acts:
@@ -193,25 +191,29 @@ def _table_generic(ruleset: Ruleset, x_max: int) -> tuple[list[int], list[int | 
                 best, best_s = v, s
         o[x] = best
         opts[x] = best_s
-    return o, opts
 
 
-def _table_contiguous(ruleset: Ruleset, x_max: int) -> tuple[list[int], list[int | None]]:
+def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], start: int) -> None:
     """Sliding-window variant for contiguous action sets {lo, ..., hi}.
 
     With g(y) = y + o(y), the recursion becomes o(x) = x - min g(y) over
     the window x-hi <= y <= x-lo, so a monotone deque gives each entry in
     amortized O(1).  The deque keeps the smallest y among equal g values
-    in front, which reproduces the largest-action tie-break exactly.
+    in front, which reproduces the largest-action tie-break exactly.  From
+    a resumed start, the deque is refilled from the solved heaps in
+    [start-hi, start-lo); g(y) = y on terminal heaps, where o = 0.
     """
     lo, hi = ruleset.min_action, ruleset.max_action
-    o: list[int] = [0] * (x_max + 1)
-    opts: list[int | None] = [None] * (x_max + 1)
-    g: list[int] = [0] * (x_max + 1)
-    for y in range(min(lo, x_max + 1)):
-        g[y] = y
+    first = max(lo, start)
+    g: list[int] = [0] * len(o)
     window: deque[int] = deque()
-    for x in range(lo, x_max + 1):
+    for y in range(max(0, start - hi), min(first, len(o))):
+        g[y] = y + o[y]
+        if y < start - lo:
+            while window and g[window[-1]] > g[y]:
+                window.pop()
+            window.append(y)
+    for x in range(first, len(o)):
         y_new = x - lo
         while window and g[window[-1]] > g[y_new]:
             window.pop()
@@ -223,21 +225,25 @@ def _table_contiguous(ruleset: Ruleset, x_max: int) -> tuple[list[int], list[int
         o[x] = x - g[y]
         opts[x] = x - y
         g[x] = x + o[x]
-    return o, opts
 
 
-def build_outcome_table(ruleset: Ruleset, x_max: int) -> OutcomeTable:
+def build_outcome_table(ruleset: Ruleset, x_max: int, table: OutcomeTable | None = None) -> OutcomeTable:
     """Solve the game exactly for every heap 0..x_max.
 
     Terminal heaps get outcome 0 and no action.  Elsewhere
     o(x) = max(s - o(x-s)) over playable s, and opt(x) is the largest
-    maximizing action, so traces driven by opt are deterministic.
+    maximizing action, so traces driven by opt are deterministic.  Given
+    a smaller table of the same ruleset, only the heaps above its x_max
+    are solved; the result is the table a fresh call would build.
     """
     _check_x_max(x_max)
-    if ruleset.is_contiguous:
-        o, opts = _table_contiguous(ruleset, x_max)
-    else:
-        o, opts = _table_generic(ruleset, x_max)
+    done = table or OutcomeTable(ruleset, -1, (), ())
+    if done.ruleset != ruleset or done.x_max > x_max:
+        raise ValueError("supplied table is not a prefix of this one")
+    o: list[int] = [*done.outcomes, *[0] * (x_max - done.x_max)]
+    opts: list[int | None] = [*done.opts, *[None] * (x_max - done.x_max)]
+    kernel = _table_contiguous if ruleset.is_contiguous else _table_generic
+    kernel(ruleset, o, opts, done.x_max + 1)
     return OutcomeTable(ruleset=ruleset, x_max=x_max, outcomes=tuple(o), opts=tuple(opts))
 
 

@@ -102,6 +102,17 @@ class TestConvergencePoint:
         with pytest.raises(TheoremViolationError, match="no convergence certificate"):
             convergence_point(rs, forged)
 
+    def test_aperiodic_tail_from_xi_is_violation(self):
+        # The certificate reads opt and the top outcomes only; an outcome
+        # off the period just past xi can then only be a solver fault.
+        rs = Ruleset((5, 7))
+        real = build_outcome_table(rs, default_x_max(rs))
+        outcomes = list(real.outcomes)
+        outcomes[40] += 1
+        forged = OutcomeTable(rs, real.x_max, tuple(outcomes), real.opts)
+        with pytest.raises(TheoremViolationError, match="no period dividing 14"):
+            convergence_point(rs, forged)
+
     def test_as_dict_schema(self):
         d = convergence_point(Ruleset((5, 7))).as_dict()
         assert d == {
@@ -110,7 +121,28 @@ class TestConvergencePoint:
             "converged_action": 7,
             "verified_up_to": 126,
             "bound_satisfied": True,
+            "period": {"period": 14, "tail_start": 31, "verified_up_to": 126},
         }
+
+    def test_grows_one_table_in_place(self, monkeypatch):
+        # Every DP call extends the table the previous one returned, so no
+        # heap is solved twice.
+        given, built = [], []
+
+        def recording(ruleset, x_max, table=None):
+            given.append(table)
+            built.append(build_outcome_table(ruleset, x_max, table))
+            return built[-1]
+
+        monkeypatch.setattr("cumsub.analysis.build_outcome_table", recording)
+        rs = Ruleset((99, 100))
+        report = convergence_point(rs)
+        assert report.xi == 2 * 99**2
+        assert len(built) > 2
+        assert given[0] is None
+        assert all(table is previous for table, previous in zip(given[1:], built))
+        assert built[-1] == build_outcome_table(rs, built[-1].x_max)
+        assert built[-1].x_max >= report.xi + 4 * 100
 
 
 class TestEventualPeriod:
@@ -150,6 +182,14 @@ class TestEventualPeriod:
             period = eventual_period(table, xi).period
             oracle = minimax_values(rs, table.x_max)
             assert naive_minimal_period(oracle, xi, 2 * rs.max_action) == period
+
+    def test_tail_not_yet_periodic_is_value_error(self):
+        # {5,7} is not yet periodic from heap 0, so no divisor of 14 fits
+        # the window there: legal input, not a theorem violation.
+        table = build_outcome_table(Ruleset((5, 7)), 126)
+        with pytest.raises(ValueError, match="no period dividing 14") as info:
+            eventual_period(table, 0)
+        assert not isinstance(info.value, TheoremViolationError)
 
     def test_window_too_small_rejected(self):
         table = build_outcome_table(Ruleset((5, 7)), 50)

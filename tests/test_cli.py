@@ -154,6 +154,16 @@ class TestConverge:
             "verified_up_to": 2 * 2000**2 + 4 * 2000,
         }
 
+    def test_extremal_pair(self, capsys):
+        # {s-1, s} has the largest xi for its max S, 2*(s-1)^2; the table
+        # grows in place through it and on to xi + 4*max S.
+        code, out, _ = run(capsys, ["converge", "-S", "199,200", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["xi"] == 79202
+        assert payload["verified_up_to"] == 80800
+        assert payload["period"] == {"period": 400, "tail_start": 79202, "verified_up_to": 80800}
+
 
 class TestTwoAction:
     def test_json_5_7(self, capsys):

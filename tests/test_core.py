@@ -150,12 +150,34 @@ class TestOutcomeTable:
         with pytest.raises(ValueError, match="above the supported"):
             build_outcome_table(Ruleset((5, 7)), 1 << 40)
 
+    def test_extends_supplied_table(self):
+        rs = Ruleset((5, 7))
+        assert build_outcome_table(rs, 55, build_outcome_table(rs, 20)).outcomes == O_57
+        assert build_outcome_table(rs, 55, build_outcome_table(rs, 55)).opts == OPT_57
+
+    def test_rejects_table_of_another_ruleset(self):
+        other = build_outcome_table(Ruleset((2, 3)), 10)
+        with pytest.raises(ValueError, match="not a prefix"):
+            build_outcome_table(Ruleset((5, 7)), 55, other)
+
+    def test_rejects_table_larger_than_x_max(self):
+        rs = Ruleset((5, 7))
+        with pytest.raises(ValueError, match="not a prefix"):
+            build_outcome_table(rs, 20, build_outcome_table(rs, 21))
+
     def test_rejects_table_above_heap_count_limit(self):
         # Refused before any list is allocated, so this costs nothing.
         with pytest.raises(ValueError, match="above the supported"):
             build_outcome_table(Ruleset((5, 7)), TABLE_HEAP_LIMIT)
         with pytest.raises(ValueError, match="above the supported"):
             minimax_values(Ruleset((5, 7)), TABLE_HEAP_LIMIT)
+
+
+def _kernel_table(kernel, rs, x_max):
+    """Run one DP kernel over heaps 0..x_max."""
+    o, opts = [0] * (x_max + 1), [None] * (x_max + 1)
+    kernel(rs, o, opts, 0)
+    return o, opts
 
 
 class TestContiguousFastPath:
@@ -167,15 +189,15 @@ class TestContiguousFastPath:
     def test_matches_generic(self, actions):
         rs = Ruleset(actions)
         assert rs.is_contiguous
-        o_fast, opt_fast = _table_contiguous(rs, 250)
-        o_slow, opt_slow = _table_generic(rs, 250)
+        o_fast, opt_fast = _kernel_table(_table_contiguous, rs, 250)
+        o_slow, opt_slow = _kernel_table(_table_generic, rs, 250)
         assert o_fast == o_slow
         assert opt_fast == opt_slow
 
     def test_build_routes_to_fast_path(self):
         # Same result through the public entry point.
         table = build_outcome_table(Ruleset((2, 3, 4)), 100)
-        o_slow, opt_slow = _table_generic(Ruleset((2, 3, 4)), 100)
+        o_slow, opt_slow = _kernel_table(_table_generic, Ruleset((2, 3, 4)), 100)
         assert list(table.outcomes) == o_slow
         assert list(table.opts) == opt_slow
 

@@ -1,6 +1,7 @@
-"""Property tests: closed forms, period probes, the convergence and period
-certificates, the optimal-action tie-break and two-pile grids against
-independent computations.
+"""Property tests: closed forms, the complementary strategy, period probes,
+the convergence and period certificates, resumed tables, the
+optimal-action tie-break and two-pile grids against independent
+computations.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 checks the same cases.
@@ -14,11 +15,11 @@ from hypothesis import strategies as st
 from cumsub import (
     Mover,
     Ruleset,
-    TheoremViolationError,
     build_grid,
     build_outcome_table,
     build_two_action,
     canonical_trace,
+    complementary_next,
     convergence_point,
     default_x_max,
     eventual_period,
@@ -159,7 +160,7 @@ def _naive_period(values, start, p_cap):
 def _period_or_none(table, tail_start):
     try:
         return eventual_period(table, tail_start).period
-    except TheoremViolationError:
+    except ValueError:
         return None
 
 
@@ -187,6 +188,67 @@ def test_certified_period_holds_far_past_window(rs):
     assert report.verified_up_to == default_x_max(rs)
     far = build_outcome_table(rs, 3 * default_x_max(rs))
     assert _naive_period(far.outcomes, xi, 2 * m) == report.period
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(wide_rulesets)
+def test_period_in_report_matches_full_table(rs):
+    report = convergence_point(rs)
+    full = build_outcome_table(rs, default_x_max(rs))
+    assert report.period == eventual_period(full, report.xi)
+
+
+contiguous_rulesets = st.integers(2, 12).flatmap(
+    lambda m: st.integers(1, m - 1).map(lambda lo: Ruleset(tuple(range(lo, m + 1))))
+)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.one_of(rulesets, contiguous_rulesets), st.integers(0, 300), st.data())
+def test_resumed_table_equals_fresh_table(rs, n, data):
+    # Split below min S, below max S (inside the first window), or anywhere.
+    lo, hi = rs.min_action, rs.max_action
+    k = data.draw(st.one_of(st.integers(0, lo - 1), st.integers(0, hi - 1), st.integers(0, n)))
+    k = min(k, n)
+    assert build_outcome_table(rs, n, build_outcome_table(rs, k)) == build_outcome_table(rs, n)
+
+
+def _complementary_score(sol, table, x):
+    """Final score from heap x with Positive scripted by complementary_next
+    and Negative playing opt from the table; None once the script asks for
+    an action larger than the heap."""
+    rs = sol.ruleset
+    heap, score, last_negative, positives_turn = x, 0, None, True
+    while not rs.is_terminal(heap):
+        if positives_turn:
+            action = complementary_next(sol, last_negative)
+            if action > heap:
+                return None
+            score += action
+        else:
+            action = last_negative = table.opts[heap]
+            score -= action
+        heap -= action
+        positives_turn = not positives_turn
+    return score
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pairs)
+def test_complementary_play_attains_x_star_outcomes(pair):
+    # From every X* heap the scripted Positive attains o(x).  The one
+    # exception is X*(1) = [s2, s1) when 2*s2 < s1: Negative can answer s2
+    # there, and the complement s1 is larger than the heap left.
+    s2, s1 = pair
+    sol = build_two_action(s2, s1)
+    table = build_outcome_table(sol.ruleset, max(sol.members))
+    for i, block in enumerate(sol.x_star, start=1):
+        for x in block:
+            score = _complementary_score(sol, table, x)
+            if score is None:
+                assert i == 1 and 2 * s2 < s1, (x, i)
+            else:
+                assert score == table.outcomes[x], x
 
 
 grid_shapes = st.tuples(sized_action_sets(12), st.integers(1, 60), st.integers(1, 60))
