@@ -14,7 +14,7 @@ how large sacrifices are).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .core import (
     Mover,
@@ -110,7 +110,8 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     """Smallest heap from which the optimal action is constant onward.
 
     The constant action is always max S.  The search starts from the
-    caller's table when it has at least 8*max S heaps, else from one of
+    caller's table of this ruleset, extended to 8*max S heaps if shorter
+    (a table of another ruleset raises ValueError), or from a fresh one of
     8*max S heaps, and grows it in place, doubling up to default_x_max,
     until its top 3*max S outcomes certify, by window repetition, that
     opt = max S on every heap from xi on, not just inside the table.  A
@@ -124,8 +125,10 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     m = ruleset.max_action
     bound = convergence_bound(ruleset)
     cap = default_x_max(ruleset)
-    if table is None or table.ruleset != ruleset or table.x_max < 8 * m:
-        table = build_outcome_table(ruleset, 8 * m)
+    if table is None or table.x_max < 8 * m:
+        table = build_outcome_table(ruleset, 8 * m, table)
+    elif table.ruleset != ruleset:
+        raise ValueError("supplied table is not a prefix of this one")
     while (last := _certified_divergence(table)) is None:
         if table.x_max >= cap:
             raise TheoremViolationError(
@@ -210,17 +213,32 @@ def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[list[int], list[int]
     return mine, theirs, plies
 
 
-def _check_two_action_traces(
-    ruleset: Ruleset,
-    xs: Iterable[int],
-    observation: str,
-    violated: Callable[[bool, bool, bool], bool],
-) -> ObservationReport:
-    """First start heap in xs whose canonical trace `violated` flags.
+# Observation name -> (sweep title, report label, predicate).  The
+# predicate flags a violation from (Positive sacrifices, Negative
+# sacrifices, Positive moves last) on one canonical trace.
+_OBSERVATIONS = {
+    # Whoever sacrifices plays the last move (vacuous without sacrifices).
+    "last-move": (
+        "two-action-sacrificer-plays-last", "sacrificer-plays-last",
+        lambda pos, neg, pos_last: neg if pos_last else pos,
+    ),
+    # At least one player plays greedily throughout.
+    "one-greedy": (
+        "two-action-one-player-all-greedy", "one-player-all-greedy",
+        lambda pos, neg, _: pos and neg,
+    ),
+}
 
-    The predicate gets (Positive sacrifices, Negative sacrifices, Positive
-    moves last); the failing trace is replayed only as the witness.
+
+def check_observation(name: str, ruleset: Ruleset, xs: Iterable[int]) -> ObservationReport:
+    """First start heap in xs whose canonical trace violates observation `name`.
+
+    The observations are stated for two-action games; the failing trace is
+    replayed only as the witness.
     """
+    if name not in _OBSERVATIONS:
+        raise ValueError(f"unknown observation {name!r}; expected one of {sorted(_OBSERVATIONS)}")
+    _, label, violated = _OBSERVATIONS[name]
     if not ruleset.is_two_action:
         raise ValueError(f"observation is stated for two-action games, got {ruleset}")
     xs = list(xs)
@@ -229,27 +247,8 @@ def _check_two_action_traces(
     mine, theirs, plies = _trace_summaries(ruleset, max(xs, default=0))
     for x in xs:
         if violated(mine[x] > 0, theirs[x] > 0, plies[x] % 2 == 1):
-            return ObservationReport(observation, ruleset, False, x, canonical_trace(ruleset, x))
-    return ObservationReport(observation, ruleset, True)
-
-
-def check_observation_last_move(ruleset: Ruleset, xs: Iterable[int]) -> ObservationReport:
-    """Two-action games: whoever sacrifices plays the last move.
-
-    Checked against the canonical trace from every heap in xs; vacuously
-    true for traces without sacrifices.
-    """
-    return _check_two_action_traces(
-        ruleset, xs, "sacrificer-plays-last",
-        lambda pos, neg, pos_last: neg if pos_last else pos,
-    )
-
-
-def check_observation_one_greedy(ruleset: Ruleset, xs: Iterable[int]) -> ObservationReport:
-    """Two-action games: at least one player plays greedily throughout."""
-    return _check_two_action_traces(
-        ruleset, xs, "one-player-all-greedy", lambda pos, neg, _: pos and neg
-    )
+            return ObservationReport(label, ruleset, False, x, canonical_trace(ruleset, x))
+    return ObservationReport(label, ruleset, True)
 
 
 def check_nonincreasing_actions(ruleset: Ruleset, x: int) -> ObservationReport:
@@ -271,16 +270,6 @@ def check_nonincreasing_actions(ruleset: Ruleset, x: int) -> ObservationReport:
     return ObservationReport(observation="per-player-nonincreasing", ruleset=ruleset, holds=True)
 
 
-def _both_sacrifice_findings(ruleset: Ruleset, x_cap: int) -> list[SacrificeFinding]:
-    """Findings for every start heap <= x_cap whose trace has both players sacrificing."""
-    mine, theirs, _ = _trace_summaries(ruleset, x_cap)
-    return [
-        SacrificeFinding(ruleset, x, p, n, consistent=n < p)
-        for x, (p, n) in enumerate(zip(mine, theirs))
-        if p > 0 and n > 0
-    ]
-
-
 def scan_sacrifice_conjecture(max_s: int, x_cap: int) -> list[SacrificeFinding]:
     """Sweep 4- and 5-action rulesets over {1..max_s} for double-sacrifice traces.
 
@@ -293,7 +282,12 @@ def scan_sacrifice_conjecture(max_s: int, x_cap: int) -> list[SacrificeFinding]:
         raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
     findings: list[SacrificeFinding] = []
     for ruleset in rulesets_with_max_at_most(max_s, (4, 5)):
-        findings.extend(_both_sacrifice_findings(ruleset, x_cap))
+        mine, theirs, _ = _trace_summaries(ruleset, x_cap)
+        findings += [
+            SacrificeFinding(ruleset, x, p, n, consistent=n < p)
+            for x, (p, n) in enumerate(zip(mine, theirs))
+            if p > 0 and n > 0
+        ]
     return findings
 
 
@@ -336,29 +330,17 @@ def sacrifice_conjecture_report(max_s: int, x_cap: int) -> dict:
     )
 
 
-# Sweep name -> (conjecture title, checker).
-_OBSERVATIONS = {
-    "last-move": ("two-action-sacrificer-plays-last", check_observation_last_move),
-    "one-greedy": ("two-action-one-player-all-greedy", check_observation_one_greedy),
-}
-
-
 def observation_sweep_report(name: str, max_s: int, x_cap: int) -> dict:
     """Check one of the two-action observations on every pair with max <= max_s."""
-    if name not in _OBSERVATIONS:
-        raise ValueError(f"unknown observation {name!r}; expected one of {sorted(_OBSERVATIONS)}")
     if max_s < 2:
         raise ValueError(f"need max_s >= 2, got {max_s}")
-    title, check = _OBSERVATIONS[name]
+    if x_cap < 0:
+        raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
     pairs = rulesets_with_max_at_most(max_s, (2,))
-    counterexamples: list[dict] = []
-    for ruleset in pairs:
-        report = check(ruleset, range(0, x_cap + 1))
-        if not report.holds:
-            counterexamples.append(report.as_dict())
+    reports = [check_observation(name, ruleset, range(x_cap + 1)) for ruleset in pairs]
     return conjecture_report(
-        conjecture=title,
+        conjecture=_OBSERVATIONS[name][0],
         parameters={"max_s": max_s, "x_cap": x_cap},
         swept_space={"rulesets": len(pairs)},
-        counterexamples=counterexamples,
+        counterexamples=[r.as_dict() for r in reports if not r.holds],
     )

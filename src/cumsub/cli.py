@@ -144,20 +144,20 @@ def cmd_grid(args) -> int:
     return 0
 
 
+# Conjecture name -> its report, from the parsed `scan` arguments.
+_SCANS = {
+    "sacrifice": lambda a: sacrifice_conjecture_report(a.max_s, a.x_cap),
+    "last-move": lambda a: observation_sweep_report(a.conjecture, a.max_s, a.x_cap),
+    "one-greedy": lambda a: observation_sweep_report(a.conjecture, a.max_s, a.x_cap),
+    "duality": lambda a: duality_conjecture_report(a.m_min, a.m_max),
+    "grid-periods": lambda a: periodicity_reports(
+        build_grid(parse_ruleset(a.ruleset), a.width, a.height), max_diag=a.max_diag
+    ),
+}
+
+
 def cmd_scan(args) -> int:
-    if args.conjecture == "sacrifice":
-        report = sacrifice_conjecture_report(args.max_s, args.x_cap)
-    elif args.conjecture in ("last-move", "one-greedy"):
-        report = observation_sweep_report(args.conjecture, args.max_s, args.x_cap)
-    elif args.conjecture == "duality":
-        report = duality_conjecture_report(args.m_min, args.m_max)
-    elif args.conjecture == "grid-periods":
-        ruleset = parse_ruleset(args.ruleset)
-        grid = build_grid(ruleset, args.width, args.height)
-        report = periodicity_reports(grid, max_diag=args.max_diag)
-    else:  # unreachable: argparse restricts choices
-        raise ValueError(f"unknown conjecture {args.conjecture!r}")
-    _emit_json(report)
+    _emit_json(_SCANS[args.conjecture](args))
     return 0
 
 
@@ -253,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_grid)
 
     s = sub.add_parser("scan", parents=[common], help="conjecture falsification sweeps")
-    s.add_argument("conjecture",
-                   choices=("sacrifice", "last-move", "one-greedy", "duality", "grid-periods"))
+    s.add_argument("conjecture", choices=tuple(_SCANS))
     s.add_argument("--max-s", type=int, default=12)
     s.add_argument("--x-cap", type=int, default=200)
     s.add_argument("--m-min", type=int, default=2)

@@ -142,7 +142,9 @@ def complementary_next(sol: TwoActionSolution, negatives_last: int | None = None
     """Positive's scripted reply: open with s2, then complement Negative.
 
     Complementing keeps every full round summing to s1 + s2, which is what
-    realizes the X* outcomes.
+    realizes the X* outcomes, with one exception: from X*(1) = [s2, s1)
+    with 2*s2 < s1, Negative can answer s2, and the complement s1 is then
+    larger than the heap left (first seen at {1,4}, heap 3).
     """
     if negatives_last is None:
         return sol.s2

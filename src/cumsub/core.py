@@ -16,6 +16,7 @@ and canonical optimal-play traces.
 from __future__ import annotations
 
 import bisect
+import operator
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -52,7 +53,8 @@ class Ruleset:
         # Built from a list, not a generator: a generator-built tuple is
         # resized from a spare slot, and every freed one refills CPython's
         # small-tuple free lists, so a long sweep keeps growing its heap.
-        acts = tuple([int(a) for a in self.actions])
+        # operator.index refuses 5.9 and "5" instead of coercing them.
+        acts = tuple([operator.index(a) for a in self.actions])
         object.__setattr__(self, "actions", acts)
         if len(acts) < 2:
             raise ValueError(f"need at least two actions, got {acts!r}")

@@ -242,17 +242,6 @@ def export_grid(grid: GridOutcome, fmt: str, path: str) -> None:
         raise ValueError(f"unknown export format {fmt!r}; expected csv, pgm, or ppm")
 
 
-def read_grid_csv(path: str) -> tuple[tuple[int, ...], ...]:
-    """Parse a grid CSV written by export_grid back into a value matrix."""
-    rows: list[tuple[int, ...]] = []
-    with open(path, "r", encoding=_CSV_ENCODING) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(tuple(int(tok) for tok in line.split(",")))
-    return tuple(rows)
-
-
 def periodicity_reports(grid: GridOutcome, max_diag: int = 50) -> dict:
     """Row/column and diagonal period sweeps in the shared conjecture schema."""
     line_reports = [row_period(grid, x2) for x2 in range(grid.height)]

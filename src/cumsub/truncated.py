@@ -130,15 +130,10 @@ def check_duality_conjecture(profile: TruncationProfile) -> DualityConjectureRep
     )
 
 
-def sweep_truncated(
-    m_min: int,
-    m_max: int,
-    csv_dir: str | None = None,
-    csv_pattern: str = "tr_{m}.csv",
-) -> list[dict]:
+def sweep_truncated(m_min: int, m_max: int, csv_dir: str | None = None) -> list[dict]:
     """Profile every m in [m_min, m_max]; optionally emit one CSV per m.
 
-    Each CSV holds rows (a, tr(a)) under the header "a,tr".
+    Each CSV, named tr_{m}.csv, holds rows (a, tr(a)) under the header "a,tr".
     """
     if not 2 <= m_min <= m_max:
         raise ValueError(f"need 2 <= m_min <= m_max, got {m_min}, {m_max}")
@@ -152,7 +147,7 @@ def sweep_truncated(
         report["conjecture"] = {"pass": conjecture.passed, "details": conjecture.as_dict()}
         reports.append(report)
         if csv_dir is not None:
-            path = os.path.join(csv_dir, csv_pattern.format(m=m))
+            path = os.path.join(csv_dir, f"tr_{m}.csv")
             with open(path, "w", encoding="ascii", newline="\n") as fh:
                 fh.write("a,tr\n")
                 for a, value in enumerate(profile.tr, start=1):
@@ -161,15 +156,13 @@ def sweep_truncated(
 
 
 def duality_conjecture_report(m_min: int, m_max: int) -> dict:
-    """Sweep report in the shared conjecture schema."""
-    counterexamples: list[dict] = []
-    for m in range(m_min, m_max + 1):
-        result = check_duality_conjecture(tr_sequence(m))
-        if not result.passed:
-            counterexamples.append(result.as_dict())
+    """The conjecture verdicts of sweep_truncated in the shared conjecture schema."""
+    reports = sweep_truncated(m_min, m_max)
     return conjecture_report(
         conjecture="truncated-duality",
         parameters={"m_min": m_min, "m_max": m_max},
-        swept_space={"m_count": m_max - m_min + 1},
-        counterexamples=counterexamples,
+        swept_space={"m_count": len(reports)},
+        counterexamples=[
+            r["conjecture"]["details"] for r in reports if not r["conjecture"]["pass"]
+        ],
     )

@@ -20,8 +20,7 @@ from cumsub import (
     TheoremViolationError,
     build_outcome_table,
     check_nonincreasing_actions,
-    check_observation_last_move,
-    check_observation_one_greedy,
+    check_observation,
     conjecture_report,
     convergence_bound,
     convergence_point,
@@ -32,7 +31,7 @@ from cumsub import (
     sacrifice_conjecture_report,
     scan_sacrifice_conjecture,
 )
-from cumsub.analysis import _both_sacrifice_findings, _check_two_action_traces
+from cumsub import analysis
 
 
 def naive_minimal_period(values, tail_start, p_cap):
@@ -75,6 +74,28 @@ class TestConvergencePoint:
         rs = Ruleset((5, 7))
         small = build_outcome_table(rs, 40)
         assert convergence_point(rs, small).xi == 31
+
+    def test_extends_short_table_of_same_ruleset(self, monkeypatch):
+        # A table shorter than 8*max S is grown from, not thrown away.
+        rs = Ruleset((5, 7))
+        small = build_outcome_table(rs, 40)
+        given = []
+
+        def recording(ruleset, x_max, table=None):
+            given.append(table)
+            return build_outcome_table(ruleset, x_max, table)
+
+        monkeypatch.setattr("cumsub.analysis.build_outcome_table", recording)
+        assert convergence_point(rs, small).xi == 31
+        assert given[0] is small
+
+    def test_rejects_table_of_another_ruleset(self):
+        other = build_outcome_table(Ruleset((4, 7)), default_x_max(Ruleset((5, 7))))
+        with pytest.raises(ValueError, match="not a prefix of this one"):
+            convergence_point(Ruleset((5, 7)), other)
+        short = build_outcome_table(Ruleset((4, 7)), 20)
+        with pytest.raises(ValueError, match="not a prefix of this one"):
+            convergence_point(Ruleset((5, 7)), short)
 
     def test_opt_constant_from_xi(self):
         rs = Ruleset((3, 7, 8))
@@ -214,13 +235,13 @@ class TestEventualPeriod:
 
 class TestTwoActionObservations:
     def test_last_move_holds_5_7(self):
-        report = check_observation_last_move(Ruleset((5, 7)), range(61))
+        report = check_observation("last-move", Ruleset((5, 7)), range(61))
         assert report.holds
         assert report.counterexample_x is None
         assert report.witness is None
 
     def test_one_greedy_holds_5_7(self):
-        assert check_observation_one_greedy(Ruleset((5, 7)), range(61)).holds
+        assert check_observation("one-greedy", Ruleset((5, 7)), range(61)).holds
 
     def test_sacrificer_is_last_mover_on_example(self):
         # From 17 in {5,7} Positive sacrifices at the start and moves last.
@@ -232,29 +253,32 @@ class TestTwoActionObservations:
 
     def test_requires_two_actions(self):
         with pytest.raises(ValueError):
-            check_observation_last_move(Ruleset((1, 5, 7)), range(10))
+            check_observation("last-move", Ruleset((1, 5, 7)), range(10))
         with pytest.raises(ValueError):
-            check_observation_one_greedy(Ruleset((1, 5, 7)), range(10))
+            check_observation("one-greedy", Ruleset((1, 5, 7)), range(10))
 
     def test_empty_heap_iterable(self):
-        assert check_observation_last_move(Ruleset((5, 7)), []).holds
+        assert check_observation("last-move", Ruleset((5, 7)), []).holds
 
-    def test_flagged_start_reported_with_witness(self):
+    def test_flagged_start_reported_with_witness(self, monkeypatch):
         # In {5,7} the first start where Positive sacrifices is 17 (5;7;5),
         # and Positive also moves last there.
-        report = _check_two_action_traces(
-            Ruleset((5, 7)), range(30), "demo", lambda pos, neg, pos_last: pos and pos_last
+        monkeypatch.setitem(
+            analysis._OBSERVATIONS, "demo",
+            ("demo-sweep", "demo", lambda pos, neg, pos_last: pos and pos_last),
         )
+        report = check_observation("demo", Ruleset((5, 7)), range(30))
         assert not report.holds
+        assert report.observation == "demo"
         assert report.counterexample_x == 17
         assert report.witness.actions == (5, 7, 5)
 
     def test_negative_start_heap_rejected(self):
         with pytest.raises(ValueError):
-            check_observation_one_greedy(Ruleset((5, 7)), [3, -1])
+            check_observation("one-greedy", Ruleset((5, 7)), [3, -1])
 
     def test_report_dict_schema(self):
-        d = check_observation_last_move(Ruleset((2, 3)), range(30)).as_dict()
+        d = check_observation("last-move", Ruleset((2, 3)), range(30)).as_dict()
         assert d["observation"] == "sacrificer-plays-last"
         assert d["ruleset"] == [2, 3]
         assert d["holds"] is True
@@ -277,9 +301,15 @@ class TestNonincreasingActions:
         assert report.witness.actions_by(Mover.POSITIVE) == (3, 7)
 
 
+def findings_2_10_13_14():
+    """The sweep's findings for {2,10,13,14}, heaps up to 60."""
+    rs = Ruleset((2, 10, 13, 14))
+    return [f for f in scan_sacrifice_conjecture(14, 60) if f.ruleset == rs]
+
+
 class TestSacrificeScan:
     def test_findings_2_10_13_14(self):
-        findings = _both_sacrifice_findings(Ruleset((2, 10, 13, 14)), 60)
+        findings = findings_2_10_13_14()
         by_x = {f.x: f for f in findings}
         assert set(by_x) == {35, 49}
         assert (by_x[35].positive_sacrifice, by_x[35].negative_sacrifice) == (4, 1)
@@ -327,7 +357,7 @@ class TestSacrificeScan:
         }
 
     def test_finding_dict_schema(self):
-        finding = _both_sacrifice_findings(Ruleset((2, 10, 13, 14)), 40)[0]
+        finding = findings_2_10_13_14()[0]
         assert finding.as_dict() == {
             "ruleset": [2, 10, 13, 14],
             "x": 35,
@@ -367,3 +397,8 @@ class TestConjectureReports:
             observation_sweep_report("unknown", 8, 100)
         with pytest.raises(ValueError):
             observation_sweep_report("last-move", 1, 100)
+
+    def test_observation_sweep_rejects_negative_x_cap(self):
+        # An empty heap range would otherwise report "holds" over nothing.
+        with pytest.raises(ValueError, match="x_cap must be nonnegative"):
+            observation_sweep_report("last-move", 8, -1)

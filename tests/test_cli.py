@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from cumsub import Ruleset, build_grid, read_grid_csv
+from cumsub import Ruleset, build_grid
 from cumsub.cli import main, parse_ruleset
 
 
@@ -224,7 +224,8 @@ class TestGrid:
         payload = json.loads(out)
         assert (payload["value_min"], payload["value_max"]) == (0, 7)
         assert payload["exports"] == [{"format": "csv", "path": str(path)}]
-        assert read_grid_csv(str(path)) == build_grid(Ruleset((5, 7)), 20, 15).values
+        rows = build_grid(Ruleset((5, 7)), 20, 15).values
+        assert path.read_text() == "".join(",".join(map(str, row)) + "\n" for row in rows)
 
     def test_image_exports(self, capsys, tmp_path):
         pgm, ppm = tmp_path / "g.pgm", tmp_path / "g.ppm"
@@ -323,6 +324,17 @@ class TestScan:
         report = json.loads(out)
         assert set(report) == {"lines", "diagonals"}
         assert report["diagonals"]["verdict"] == "holds"
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "duality", "--m-min", "5", "--m-max", "3"],
+        ["scan", "last-move", "--x-cap", "-1"],
+    ])
+    def test_empty_range_is_usage_error(self, capsys, argv):
+        # An empty sweep must not print a "holds" verdict over nothing.
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_unknown_conjecture_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -65,6 +65,13 @@ class TestRuleset:
         with pytest.raises(ValueError):
             Ruleset((-2, 3))
 
+    def test_rejects_non_integer_actions(self):
+        # Floats are not truncated and strings are not parsed.
+        with pytest.raises(TypeError):
+            Ruleset((5.9, 7))
+        with pytest.raises(TypeError):
+            Ruleset(("5", "7"))
+
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValueError):
             Ruleset((5, 3))

@@ -145,6 +145,12 @@ class TestDualityConjecture:
         assert report["swept_space"] == {"m_count": 11}
         assert report["counterexamples"] == []
 
+    def test_report_rejects_empty_range(self):
+        # The report shares sweep_truncated's range check: no "holds" over
+        # zero values of m.
+        with pytest.raises(ValueError, match="m_min <= m_max"):
+            duality_conjecture_report(5, 3)
+
 
 class TestSweep:
     def test_reports_and_csv_emission(self, tmp_path):
