@@ -4,11 +4,11 @@ Every game with at least two actions eventually settles: from some heap
 size onward the optimal action is constantly the largest action, and
 that happens no later than 2*(max S)^2.  Past that point the outcome
 sequence is periodic with period dividing 2*max S.  This module locates
-the convergence point, stopping the table as soon as a repeated window of
-max S outcomes proves that opt stays max S on every larger heap; it also
-certifies the eventual period and provides falsification sweeps for
-observed regularities of optimal play (who sacrifices, who moves last,
-how large sacrifices are).
+the convergence point, stopping the table as soon as a run of 2*max S
+heaps with opt max S proves that opt stays max S on every larger heap;
+it also certifies the eventual period and provides falsification sweeps
+for observed regularities of optimal play (who sacrifices, who moves
+last, how large sacrifices are).
 """
 
 from __future__ import annotations
@@ -88,17 +88,17 @@ class SacrificeFinding(Report):
 def _certified_divergence(table: OutcomeTable) -> int | None:
     """Last heap whose opt is not max S, when the table proves it is the last.
 
-    With m = max S and n = x_max: for x >= m, o(x) and opt(x) depend only
-    on the window o[x-m .. x-1].  So if n >= 3m - 1 and the top window
-    o[n+1-m .. n] equals the one 2m heaps lower, every later value repeats
-    with period 2m, and opt = m on [n+1-2m, n] gives opt = m on every heap
-    above n - 2m.  None when the table does not prove this.
+    With m = max S and n = x_max: opt = m on the top 2m heaps, all at or
+    above m since m is not playable below it (so n >= 3m - 1), gives
+    o(x) = m - o(x-m) = o(x-2m) on the top m of them.  For x >= m, o(x)
+    and opt(x) depend only on the window o[x-m .. x-1], so the top window
+    repeats the one 2m heaps lower, every later value repeats with period
+    2m, and opt = m on every heap above n - 2m.  None when the top 2m
+    opts are not all m.
     """
     m = table.ruleset.max_action
     n = table.x_max
-    o, opts = table.outcomes, table.opts
-    if n < 3 * m - 1 or o[n + 1 - m:] != o[n + 1 - 3 * m:n + 1 - 2 * m]:
-        return None
+    opts = table.opts
     # Heap 0 is terminal (opt None), so the scan always stops.
     x = n
     while opts[x] == m:
@@ -113,10 +113,12 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     caller's table of this ruleset, extended to 8*max S heaps if shorter
     (a table of another ruleset raises ValueError), or from a fresh one of
     8*max S heaps, and grows it in place, doubling up to default_x_max,
-    until its top 3*max S outcomes certify, by window repetition, that
-    opt = max S on every heap from xi on, not just inside the table.  A
-    non-greedy opt beyond the proven bound 2*(max S)^2, or no certificate
-    by default_x_max, is reported as a theorem violation.  Since the
+    until opt = max S on its top 2*max S heaps certifies, by window
+    repetition, that opt = max S on every heap from xi on, not just inside
+    the table.  A non-greedy opt beyond the proven bound 2*(max S)^2, or
+    no certificate by default_x_max, is reported as a theorem violation.
+    The table builder solves the 4*max S heaps from xi by DP and fills
+    only above them, so the period check reads no filled heap.  Since the
     certificate covers every heap, verified_up_to is only a floor:
     max(final table x_max, default_x_max).  The same table, grown to
     xi + 4*max S heaps if shorter, then certifies the period from xi

@@ -179,8 +179,19 @@ def _check_x_max(x_max: int) -> None:
         )
 
 
-def _table_generic(ruleset: Ruleset, o: list[int], opts: list[int | None], start: int) -> None:
+def _table_generic(ruleset: Ruleset, o: list[int], opts: list[int | None], start: int, last: int) -> int:
+    """Solve heaps from start on; stop once 4*max S heaps in a row have opt max S.
+
+    last is the last heap below start whose opt is not max S.  The first
+    heap n with n - last >= 4*max S is returned, or the top heap if no
+    such run occurs.  The run is 4*max S rather than the 2*max S that
+    certifies the tail, so that the 4*max S heaps from xi that
+    eventual_period reads in convergence_point's self-check are all
+    solved here, never filled.
+    """
     acts = ruleset.actions
+    m = ruleset.max_action
+    stop = last + 4 * m
     for x in range(max(ruleset.min_action, start), len(o)):
         best = None
         best_s = None
@@ -193,9 +204,14 @@ def _table_generic(ruleset: Ruleset, o: list[int], opts: list[int | None], start
                 best, best_s = v, s
         o[x] = best
         opts[x] = best_s
+        if best_s != m:
+            stop = x + 4 * m
+        elif x >= stop:
+            return x
+    return len(o) - 1
 
 
-def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], start: int) -> None:
+def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], start: int, last: int) -> int:
     """Sliding-window variant for contiguous action sets {lo, ..., hi}.
 
     With g(y) = y + o(y), the recursion becomes o(x) = x - min g(y) over
@@ -203,10 +219,13 @@ def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], st
     amortized O(1).  The deque keeps the smallest y among equal g values
     in front, which reproduces the largest-action tie-break exactly.  From
     a resumed start, the deque is refilled from the solved heaps in
-    [start-hi, start-lo); g(y) = y on terminal heaps, where o = 0.
+    [start-hi, start-lo); g(y) = y on terminal heaps, where o = 0.  Stops
+    and returns as _table_generic does, after a run of 4*max S heaps whose
+    opt is hi.
     """
     lo, hi = ruleset.min_action, ruleset.max_action
     first = max(lo, start)
+    stop = last + 4 * hi
     g: list[int] = [0] * len(o)
     window: deque[int] = deque()
     for y in range(max(0, start - hi), min(first, len(o))):
@@ -227,6 +246,11 @@ def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], st
         o[x] = x - g[y]
         opts[x] = x - y
         g[x] = x + o[x]
+        if y != cut:
+            stop = x + 4 * hi
+        elif x >= stop:
+            return x
+    return len(o) - 1
 
 
 def build_outcome_table(ruleset: Ruleset, x_max: int, table: OutcomeTable | None = None) -> OutcomeTable:
@@ -236,16 +260,35 @@ def build_outcome_table(ruleset: Ruleset, x_max: int, table: OutcomeTable | None
     o(x) = max(s - o(x-s)) over playable s, and opt(x) is the largest
     maximizing action, so traces driven by opt are deterministic.  Given
     a smaller table of the same ruleset, only the heaps above its x_max
-    are solved; the result is the table a fresh call would build.
+    are computed; the result is the table a fresh call would build.
+
+    The DP stops at the first heap n that ends a run of 4*max S heaps
+    with opt = m = max S (or at x_max), and heaps above n are filled by
+    period 2m: o(x) = o(x-2m) and opt(x) = m.  That is exact.  opt = m
+    on 2m consecutive heaps, all at or above m since m is not playable
+    below it, gives o(x) = m - o(x-m) = o(x-2m) on the top m of them.
+    For x >= m, o(x) and opt(x) depend only on the window o[x-m .. x-1],
+    so the window above n repeats the one 2m heaps lower, and with it
+    every later value.  A smaller table that already ends in such a run
+    is only filled.
     """
     _check_x_max(x_max)
     done = table or OutcomeTable(ruleset, -1, (), ())
     if done.ruleset != ruleset or done.x_max > x_max:
         raise ValueError("supplied table is not a prefix of this one")
-    o: list[int] = [*done.outcomes, *[0] * (x_max - done.x_max)]
-    opts: list[int | None] = [*done.opts, *[None] * (x_max - done.x_max)]
-    kernel = _table_contiguous if ruleset.is_contiguous else _table_generic
-    kernel(ruleset, o, opts, done.x_max + 1)
+    m = ruleset.max_action
+    n = last = done.x_max
+    while n - last < 4 * m and last >= 0 and done.opts[last] == m:
+        last -= 1
+    o: list[int] = [*done.outcomes, *[0] * (x_max - n)]
+    opts: list[int | None] = [*done.opts, *[None] * (x_max - n)]
+    if n - last < 4 * m:
+        kernel = _table_contiguous if ruleset.is_contiguous else _table_generic
+        n = kernel(ruleset, o, opts, n + 1, last)
+    if n < x_max:
+        block = o[n + 1 - 2 * m:n + 1]
+        o[n + 1:] = (block * ((x_max - n) // (2 * m) + 1))[:x_max - n]
+        opts[n + 1:] = [m] * (x_max - n)
     return OutcomeTable(ruleset=ruleset, x_max=x_max, outcomes=tuple(o), opts=tuple(opts))
 
 

@@ -124,8 +124,8 @@ class TestConvergencePoint:
             convergence_point(rs, forged)
 
     def test_aperiodic_tail_from_xi_is_violation(self):
-        # The certificate reads opt and the top outcomes only; an outcome
-        # off the period just past xi can then only be a solver fault.
+        # The certificate reads opt only; an outcome off the period just
+        # past xi can then only be a solver fault.
         rs = Ruleset((5, 7))
         real = build_outcome_table(rs, default_x_max(rs))
         outcomes = list(real.outcomes)

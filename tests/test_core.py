@@ -23,6 +23,7 @@ from cumsub import (
     rulesets_with_max_at_most,
 )
 from cumsub.core import TABLE_HEAP_LIMIT, _table_contiguous, _table_generic
+from test_properties import _largest_maximizers
 
 # o(x) and opt(x) for S={5,7}, x = 0..55, one tuple entry per heap.
 O_57 = (
@@ -181,10 +182,10 @@ class TestOutcomeTable:
 
 
 def _kernel_table(kernel, rs, x_max):
-    """Run one DP kernel over heaps 0..x_max."""
+    """Run one DP kernel from heap 0 until it stops: (stop heap, o, opt) up to it."""
     o, opts = [0] * (x_max + 1), [None] * (x_max + 1)
-    kernel(rs, o, opts, 0)
-    return o, opts
+    stop = kernel(rs, o, opts, 0, -1)
+    return stop, o[:stop + 1], opts[:stop + 1]
 
 
 class TestContiguousFastPath:
@@ -196,17 +197,23 @@ class TestContiguousFastPath:
     def test_matches_generic(self, actions):
         rs = Ruleset(actions)
         assert rs.is_contiguous
-        o_fast, opt_fast = _kernel_table(_table_contiguous, rs, 250)
-        o_slow, opt_slow = _kernel_table(_table_generic, rs, 250)
-        assert o_fast == o_slow
-        assert opt_fast == opt_slow
+        fast = _kernel_table(_table_contiguous, rs, 250)
+        slow = _kernel_table(_table_generic, rs, 250)
+        assert fast == slow
+        # Both stop where 4*max S heaps in a row first have opt max S.
+        stop, _, opts = fast
+        m = rs.max_action
+        assert stop < 250
+        assert opts[stop - 4 * m] != m
+        assert opts[stop + 1 - 4 * m:] == [m] * (4 * m)
 
     def test_build_routes_to_fast_path(self):
-        # Same result through the public entry point.
-        table = build_outcome_table(Ruleset((2, 3, 4)), 100)
-        o_slow, opt_slow = _kernel_table(_table_generic, Ruleset((2, 3, 4)), 100)
-        assert list(table.outcomes) == o_slow
-        assert list(table.opts) == opt_slow
+        # Same result through the public entry point, against references
+        # that share no code with either kernel.
+        rs = Ruleset((2, 3, 4))
+        table = build_outcome_table(rs, 100)
+        assert table.outcomes == minimax_values(rs, 100)
+        assert list(table.opts) == _largest_maximizers(rs, 100)
 
 
 class TestOptAction:

@@ -1,7 +1,7 @@
 """Property tests: closed forms, the complementary strategy, period probes,
-the convergence and period certificates, resumed tables, the
-optimal-action tie-break and two-pile grids against independent
-computations.
+the convergence and period certificates, resumed tables and their
+period-filled tails, the optimal-action tie-break and two-pile grids
+against independent computations.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 checks the same cases.
@@ -23,6 +23,7 @@ from cumsub import (
     convergence_point,
     default_x_max,
     eventual_period,
+    minimax_values,
     row_period,
     two_action_opt,
     two_pile_minimax,
@@ -142,11 +143,12 @@ def test_certified_xi_matches_full_table(rs):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(wide_rulesets)
 def test_opt_is_max_from_certified_xi_far_past_window(rs):
+    # Read from the two-table minimax, not the DP, which fills this range.
     m = rs.max_action
     xi = convergence_point(rs).xi
-    table = build_outcome_table(rs, 3 * default_x_max(rs))
-    assert table.opts[xi - 1] != m
-    assert all(table.opts[x] == m for x in range(xi, table.x_max + 1))
+    opts = _largest_maximizers(rs, 3 * default_x_max(rs))
+    assert opts[xi - 1] != m
+    assert all(opt == m for opt in opts[xi:])
 
 
 def _naive_period(values, start, p_cap):
@@ -186,8 +188,8 @@ def test_certified_period_holds_far_past_window(rs):
     xi = convergence_point(rs).xi
     report = eventual_period(build_outcome_table(rs, xi + 4 * m), xi)
     assert report.verified_up_to == default_x_max(rs)
-    far = build_outcome_table(rs, 3 * default_x_max(rs))
-    assert _naive_period(far.outcomes, xi, 2 * m) == report.period
+    far = minimax_values(rs, 3 * default_x_max(rs))
+    assert _naive_period(far, xi, 2 * m) == report.period
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -211,6 +213,29 @@ def test_resumed_table_equals_fresh_table(rs, n, data):
     k = data.draw(st.one_of(st.integers(0, lo - 1), st.integers(0, hi - 1), st.integers(0, n)))
     k = min(k, n)
     assert build_outcome_table(rs, n, build_outcome_table(rs, k)) == build_outcome_table(rs, n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(wide_rulesets, contiguous_rulesets), st.data())
+def test_certified_tail_matches_independent_references(rs, data):
+    # Past the run of 4*max S heaps with opt = max S that stops the DP, the
+    # table is filled by period; fresh and resumed builds, split below,
+    # inside and after that run, must still equal the references everywhere.
+    m = rs.max_action
+    x_max = 3 * default_x_max(rs)
+    outcomes = minimax_values(rs, x_max)
+    opts = _largest_maximizers(rs, x_max)
+    last = max(x for x, opt in enumerate(opts) if opt != m)
+    splits = [
+        data.draw(st.integers(0, last)),
+        data.draw(st.integers(last + 1, last + 4 * m)),
+        data.draw(st.integers(last + 4 * m + 1, x_max)),
+    ]
+    tables = [build_outcome_table(rs, x_max)]
+    tables += [build_outcome_table(rs, x_max, build_outcome_table(rs, k)) for k in splits]
+    for table in tables:
+        assert table.outcomes == outcomes
+        assert list(table.opts) == opts
 
 
 def _complementary_score(sol, table, x):
