@@ -4,11 +4,11 @@ Every game with at least two actions eventually settles: from some heap
 size onward the optimal action is constantly the largest action, and
 that happens no later than 2*(max S)^2.  Past that point the outcome
 sequence is periodic with period dividing 2*max S.  This module locates
-the convergence point, stopping the table as soon as a run of 2*max S
-heaps with opt max S proves that opt stays max S on every larger heap;
-it also certifies the eventual period and provides falsification sweeps
-for observed regularities of optimal play (who sacrifices, who moves
-last, how large sacrifices are).
+the convergence point, stopping the table as soon as its greedy_from
+lies 2*max S heaps below its top, which proves that opt stays max S on
+every larger heap; it also certifies the eventual period and provides
+falsification sweeps for observed regularities of optimal play (who
+sacrifices, who moves last, how large sacrifices are).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
-    Mover,
     OutcomeTable,
     PlayTrace,
     Report,
@@ -85,27 +84,6 @@ class SacrificeFinding(Report):
     consistent: bool
 
 
-def _certified_divergence(table: OutcomeTable) -> int | None:
-    """Last heap whose opt is not max S, when the table proves it is the last.
-
-    With m = max S and n = x_max: opt = m on the top 2m heaps, all at or
-    above m since m is not playable below it (so n >= 3m - 1), gives
-    o(x) = m - o(x-m) = o(x-2m) on the top m of them.  For x >= m, o(x)
-    and opt(x) depend only on the window o[x-m .. x-1], so the top window
-    repeats the one 2m heaps lower, every later value repeats with period
-    2m, and opt = m on every heap above n - 2m.  None when the top 2m
-    opts are not all m.
-    """
-    m = table.ruleset.max_action
-    n = table.x_max
-    opts = table.opts
-    # Heap 0 is terminal (opt None), so the scan always stops.
-    x = n
-    while opts[x] == m:
-        x -= 1
-    return x if x <= n - 2 * m else None
-
-
 def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> ConvergenceReport:
     """Smallest heap from which the optimal action is constant onward.
 
@@ -113,16 +91,17 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     caller's table of this ruleset, extended to 8*max S heaps if shorter
     (a table of another ruleset raises ValueError), or from a fresh one of
     8*max S heaps, and grows it in place, doubling up to default_x_max,
-    until opt = max S on its top 2*max S heaps certifies, by window
-    repetition, that opt = max S on every heap from xi on, not just inside
-    the table.  A non-greedy opt beyond the proven bound 2*(max S)^2, or
-    no certificate by default_x_max, is reported as a theorem violation.
-    The table builder solves the 4*max S heaps from xi by DP and fills
-    only above them, so the period check reads no filled heap.  Since the
-    certificate covers every heap, verified_up_to is only a floor:
-    max(final table x_max, default_x_max).  The same table, grown to
-    xi + 4*max S heaps if shorter, then certifies the period from xi
-    (see eventual_period); failing there is a theorem violation too.
+    until its greedy_from lies at least 2*max S heaps below its top.  That
+    run certifies opt = max S on every heap from xi = greedy_from on, not
+    just inside the table (see build_outcome_table).  A non-greedy opt
+    beyond the proven bound 2*(max S)^2, or no certificate by
+    default_x_max, is reported as a theorem violation.  The table builder
+    solves the 4*max S heaps from xi by DP and fills only above them, so
+    the period check reads no filled heap.  Since the certificate covers
+    every heap, verified_up_to is only a floor: max(final table x_max,
+    default_x_max).  The same table, grown to xi + 4*max S heaps if
+    shorter, then certifies the period from xi (see eventual_period);
+    failing there is a theorem violation too.
     """
     m = ruleset.max_action
     bound = convergence_bound(ruleset)
@@ -131,28 +110,29 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
         table = build_outcome_table(ruleset, 8 * m, table)
     elif table.ruleset != ruleset:
         raise ValueError("supplied table is not a prefix of this one")
-    while (last := _certified_divergence(table)) is None:
+    while table.greedy_from > table.x_max + 1 - 2 * m:
         if table.x_max >= cap:
             raise TheoremViolationError(
                 f"no convergence certificate by heap {table.x_max} for {ruleset}"
             )
         table = build_outcome_table(ruleset, min(2 * table.x_max, cap), table)
-    if last > bound:
+    xi = table.greedy_from
+    if xi > bound + 1:
         raise TheoremViolationError(
-            f"opt({last}) = {table.opts[last]} != {m} beyond the convergence bound {bound} for {ruleset}"
+            f"opt({xi - 1}) = {table.opts[xi - 1]} != {m} beyond the convergence bound {bound} for {ruleset}"
         )
-    if table.x_max < last + 1 + 4 * m:
-        table = build_outcome_table(ruleset, last + 1 + 4 * m, table)
+    if table.x_max < xi + 4 * m:
+        table = build_outcome_table(ruleset, xi + 4 * m, table)
     try:
-        period = eventual_period(table, last + 1)
+        period = eventual_period(table, xi)
     except ValueError as exc:
         raise TheoremViolationError(f"{exc} past the certified xi") from exc
     return ConvergenceReport(
         ruleset=ruleset,
-        xi=last + 1,
+        xi=xi,
         converged_action=m,
         verified_up_to=max(table.x_max, cap),
-        bound_satisfied=last + 1 <= bound,
+        bound_satisfied=xi <= bound,
         period=period,
     )
 
@@ -251,25 +231,6 @@ def check_observation(name: str, ruleset: Ruleset, xs: Iterable[int]) -> Observa
         if violated(mine[x] > 0, theirs[x] > 0, plies[x] % 2 == 1):
             return ObservationReport(label, ruleset, False, x, canonical_trace(ruleset, x))
     return ObservationReport(label, ruleset, True)
-
-
-def check_nonincreasing_actions(ruleset: Ruleset, x: int) -> ObservationReport:
-    """Is each player's action sequence non-increasing along the canonical trace?
-
-    Exploratory: reported, not assumed, by anything else in the package.
-    """
-    trace = canonical_trace(ruleset, x)
-    for mover in (Mover.POSITIVE, Mover.NEGATIVE):
-        seq = trace.actions_by(mover)
-        if any(later > earlier for later, earlier in zip(seq[1:], seq)):
-            return ObservationReport(
-                observation="per-player-nonincreasing",
-                ruleset=ruleset,
-                holds=False,
-                counterexample_x=x,
-                witness=trace,
-            )
-    return ObservationReport(observation="per-player-nonincreasing", ruleset=ruleset, holds=True)
 
 
 def scan_sacrifice_conjecture(max_s: int, x_cap: int) -> list[SacrificeFinding]:

@@ -112,12 +112,13 @@ def cmd_trunc(args) -> int:
 def cmd_grid(args) -> int:
     ruleset = parse_ruleset(args.ruleset)
     grid = build_grid(ruleset, args.width, args.height)
+    # Before any export, so that a usage error leaves no file behind.
+    periods = periodicity_reports(grid, max_diag=args.max_diag) if args.periods else None
     exports = []
     for fmt, path in (("csv", args.csv), ("pgm", args.pgm), ("ppm", args.ppm)):
         if path:
             export_grid(grid, fmt, path)
             exports.append({"format": fmt, "path": path})
-    periods = periodicity_reports(grid, max_diag=args.max_diag) if args.periods else None
     value_min, value_max = min(grid.value_set), max(grid.value_set)
     if args.json:
         payload = {

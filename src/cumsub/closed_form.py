@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .analysis import TheoremViolationError
-from .core import Report, Ruleset
+from .core import TABLE_HEAP_LIMIT, Report, Ruleset
 
 
 def full_support_outcome(s1: int, x: int) -> int:
@@ -103,6 +103,9 @@ class TwoActionSolution(Report):
 def build_two_action(s2: int, s1: int) -> TwoActionSolution:
     if not 1 <= s2 < s1:
         raise ValueError(f"need 1 <= s2 < s1, got s2={s2}, s1={s1}")
+    # The X* blocks store up to s1 - 1 heaps, capped as table heaps are.
+    if s1 >= TABLE_HEAP_LIMIT:
+        raise ValueError(f"s1 {s1} is at or above the supported limit {TABLE_HEAP_LIMIT}")
     alpha = s1 - s2
     i_max = s1 // alpha
     blocks: list[tuple[int, ...]] = []

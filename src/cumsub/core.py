@@ -108,13 +108,18 @@ class OutcomeTable:
     o(x) is the final score under optimal play from heap x with Positive
     to move; opt(x) is the largest action attaining it (None at terminal
     heaps).  Because the game is symmetric up to sign, the same table
-    prescribes optimal play for Negative as well.
+    prescribes optimal play for Negative as well.  greedy_from is the
+    least heap from which opt = max S on every heap up to x_max, and
+    x_max + 1 when opt(x_max) is not max S; terminal heaps count as not
+    max S.  Once that run spans 2*max S heaps, opt = max S on every larger
+    heap too (see build_outcome_table).
     """
 
     ruleset: Ruleset
     x_max: int
     outcomes: tuple[int, ...]
     opts: tuple[int | None, ...]
+    greedy_from: int
 
     def outcome(self, x: int) -> int:
         if not 0 <= x <= self.x_max:
@@ -165,9 +170,6 @@ class PlayTrace(Report):
     def actions(self) -> tuple[int, ...]:
         return tuple(m.action for m in self.moves)
 
-    def actions_by(self, mover: Mover) -> tuple[int, ...]:
-        return tuple(m.action for m in self.moves if m.mover is mover)
-
 
 def _check_x_max(x_max: int) -> None:
     if x_max < 0:
@@ -182,16 +184,16 @@ def _check_x_max(x_max: int) -> None:
 def _table_generic(ruleset: Ruleset, o: list[int], opts: list[int | None], start: int, last: int) -> int:
     """Solve heaps from start on; stop once 4*max S heaps in a row have opt max S.
 
-    last is the last heap below start whose opt is not max S.  The first
-    heap n with n - last >= 4*max S is returned, or the top heap if no
-    such run occurs.  The run is 4*max S rather than the 2*max S that
-    certifies the tail, so that the 4*max S heaps from xi that
+    last is the last heap below the first solved one whose opt is not
+    max S, terminal heaps included, and the last such heap up to the stop
+    is returned.  Solving stops at heap last + 4*max S, or at the top heap
+    if no such run occurs.  The run is 4*max S rather than the 2*max S
+    that certifies the tail, so that the 4*max S heaps from xi that
     eventual_period reads in convergence_point's self-check are all
     solved here, never filled.
     """
     acts = ruleset.actions
     m = ruleset.max_action
-    stop = last + 4 * m
     for x in range(max(ruleset.min_action, start), len(o)):
         best = None
         best_s = None
@@ -205,10 +207,10 @@ def _table_generic(ruleset: Ruleset, o: list[int], opts: list[int | None], start
         o[x] = best
         opts[x] = best_s
         if best_s != m:
-            stop = x + 4 * m
-        elif x >= stop:
-            return x
-    return len(o) - 1
+            last = x
+        elif x - last >= 4 * m:
+            break
+    return last
 
 
 def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], start: int, last: int) -> int:
@@ -220,12 +222,10 @@ def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], st
     in front, which reproduces the largest-action tie-break exactly.  From
     a resumed start, the deque is refilled from the solved heaps in
     [start-hi, start-lo); g(y) = y on terminal heaps, where o = 0.  Stops
-    and returns as _table_generic does, after a run of 4*max S heaps whose
-    opt is hi.
+    and returns as _table_generic does.
     """
     lo, hi = ruleset.min_action, ruleset.max_action
     first = max(lo, start)
-    stop = last + 4 * hi
     g: list[int] = [0] * len(o)
     window: deque[int] = deque()
     for y in range(max(0, start - hi), min(first, len(o))):
@@ -247,10 +247,10 @@ def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], st
         opts[x] = x - y
         g[x] = x + o[x]
         if y != cut:
-            stop = x + 4 * hi
-        elif x >= stop:
-            return x
-    return len(o) - 1
+            last = x
+        elif x - last >= 4 * hi:
+            break
+    return last
 
 
 def build_outcome_table(ruleset: Ruleset, x_max: int, table: OutcomeTable | None = None) -> OutcomeTable:
@@ -260,7 +260,8 @@ def build_outcome_table(ruleset: Ruleset, x_max: int, table: OutcomeTable | None
     o(x) = max(s - o(x-s)) over playable s, and opt(x) is the largest
     maximizing action, so traces driven by opt are deterministic.  Given
     a smaller table of the same ruleset, only the heaps above its x_max
-    are computed; the result is the table a fresh call would build.
+    are computed, resuming from its greedy_from; the result is the table
+    a fresh call would build.
 
     The DP stops at the first heap n that ends a run of 4*max S heaps
     with opt = m = max S (or at x_max), and heaps above n are filled by
@@ -273,23 +274,26 @@ def build_outcome_table(ruleset: Ruleset, x_max: int, table: OutcomeTable | None
     is only filled.
     """
     _check_x_max(x_max)
-    done = table or OutcomeTable(ruleset, -1, (), ())
+    done = table or OutcomeTable(ruleset, -1, (), (), 0)
     if done.ruleset != ruleset or done.x_max > x_max:
         raise ValueError("supplied table is not a prefix of this one")
     m = ruleset.max_action
-    n = last = done.x_max
-    while n - last < 4 * m and last >= 0 and done.opts[last] == m:
-        last -= 1
+    n = done.x_max
+    # The last heap whose opt is not m; the terminal heaps count.
+    last = max(done.greedy_from, min(ruleset.min_action, x_max + 1)) - 1
     o: list[int] = [*done.outcomes, *[0] * (x_max - n)]
     opts: list[int | None] = [*done.opts, *[None] * (x_max - n)]
     if n - last < 4 * m:
         kernel = _table_contiguous if ruleset.is_contiguous else _table_generic
-        n = kernel(ruleset, o, opts, n + 1, last)
+        last = kernel(ruleset, o, opts, n + 1, last)
+        n = min(last + 4 * m, x_max)
     if n < x_max:
         block = o[n + 1 - 2 * m:n + 1]
         o[n + 1:] = (block * ((x_max - n) // (2 * m) + 1))[:x_max - n]
         opts[n + 1:] = [m] * (x_max - n)
-    return OutcomeTable(ruleset=ruleset, x_max=x_max, outcomes=tuple(o), opts=tuple(opts))
+    return OutcomeTable(
+        ruleset=ruleset, x_max=x_max, outcomes=tuple(o), opts=tuple(opts), greedy_from=last + 1
+    )
 
 
 def minimax_values(ruleset: Ruleset, x_max: int) -> tuple[int, ...]:

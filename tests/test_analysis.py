@@ -19,7 +19,6 @@ from cumsub import (
     Ruleset,
     TheoremViolationError,
     build_outcome_table,
-    check_nonincreasing_actions,
     check_observation,
     conjecture_report,
     convergence_bound,
@@ -110,7 +109,7 @@ class TestConvergencePoint:
         real = build_outcome_table(rs, default_x_max(rs))
         opts = list(real.opts)
         opts[100] = 5
-        forged = OutcomeTable(rs, real.x_max, real.outcomes, tuple(opts))
+        forged = OutcomeTable(rs, real.x_max, real.outcomes, tuple(opts), greedy_from=101)
         with pytest.raises(TheoremViolationError, match="beyond the convergence bound"):
             convergence_point(rs, forged)
 
@@ -119,18 +118,29 @@ class TestConvergencePoint:
         rs = Ruleset((5, 7))
         real = build_outcome_table(rs, default_x_max(rs))
         opts = real.opts[:-1] + (5,)
-        forged = OutcomeTable(rs, real.x_max, real.outcomes, opts)
+        forged = OutcomeTable(rs, real.x_max, real.outcomes, opts, greedy_from=real.x_max + 1)
+        with pytest.raises(TheoremViolationError, match="no convergence certificate"):
+            convergence_point(rs, forged)
+
+    def test_run_one_short_of_2m_is_no_certificate(self):
+        # opt is 7 on only the top 2*7 - 1 heaps, one short of a certificate.
+        rs = Ruleset((5, 7))
+        real = build_outcome_table(rs, default_x_max(rs))
+        greedy_from = real.x_max + 2 - 2 * 7
+        opts = list(real.opts)
+        opts[greedy_from - 1] = 5
+        forged = OutcomeTable(rs, real.x_max, real.outcomes, tuple(opts), greedy_from)
         with pytest.raises(TheoremViolationError, match="no convergence certificate"):
             convergence_point(rs, forged)
 
     def test_aperiodic_tail_from_xi_is_violation(self):
-        # The certificate reads opt only; an outcome off the period just
-        # past xi can then only be a solver fault.
+        # The certificate reads greedy_from only; an outcome off the
+        # period just past xi can then only be a solver fault.
         rs = Ruleset((5, 7))
         real = build_outcome_table(rs, default_x_max(rs))
         outcomes = list(real.outcomes)
         outcomes[40] += 1
-        forged = OutcomeTable(rs, real.x_max, tuple(outcomes), real.opts)
+        forged = OutcomeTable(rs, real.x_max, tuple(outcomes), real.opts, real.greedy_from)
         with pytest.raises(TheoremViolationError, match="no period dividing 14"):
             convergence_point(rs, forged)
 
@@ -284,21 +294,6 @@ class TestTwoActionObservations:
         assert d["holds"] is True
         assert d["counterexample_x"] is None
         assert d["witness"] is None
-
-
-class TestNonincreasingActions:
-    def test_holds_on_small_games(self):
-        assert check_nonincreasing_actions(Ruleset((5, 7)), 17).holds
-        assert check_nonincreasing_actions(Ruleset((1, 2, 3)), 7).holds
-        assert check_nonincreasing_actions(Ruleset((1, 5, 7)), 18).holds
-
-    def test_counterexample_3_7_9(self):
-        # From 20 in {3,7,9} the trace is 3;9;7: Positive plays 3 then 7.
-        report = check_nonincreasing_actions(Ruleset((3, 7, 9)), 20)
-        assert not report.holds
-        assert report.counterexample_x == 20
-        assert report.witness.actions == (3, 9, 7)
-        assert report.witness.actions_by(Mover.POSITIVE) == (3, 7)
 
 
 def findings_2_10_13_14():

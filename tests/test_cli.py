@@ -188,6 +188,14 @@ class TestTwoAction:
         code, _, _ = run(capsys, ["twoaction", "7", "5"])
         assert code == 2
 
+    def test_too_large_is_usage_error(self, capsys):
+        # The X* blocks of s1 = 2*10^7 would hold 2*10^7 - 1 heaps: refused
+        # before anything is allocated.
+        code, out, err = run(capsys, ["twoaction", "1", "20000000"])
+        assert code == 2
+        assert out == ""
+        assert "above the supported" in err
+
 
 class TestTrunc:
     def test_json_rows(self, capsys):
@@ -266,6 +274,18 @@ class TestGrid:
     def test_zero_width_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["grid", "-S", "5,7", "-W", "0", "-H", "10"])
         assert code == 2
+
+    def test_period_usage_error_writes_no_export(self, capsys, tmp_path):
+        # Row periods need width >= 6*max S; the probe fails before any export.
+        path = tmp_path / "g.csv"
+        code, out, err = run(
+            capsys,
+            ["grid", "-S", "5,7", "-W", "20", "-H", "20", "--periods", "--csv", str(path)],
+        )
+        assert code == 2
+        assert out == ""
+        assert "row too short" in err
+        assert not path.exists()
 
     def test_grid_too_large_is_usage_error(self, capsys):
         # 10^10 cells: refused before anything is allocated.

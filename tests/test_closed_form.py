@@ -24,6 +24,7 @@ from cumsub import (
     two_action_opt,
     two_action_outcome,
 )
+from cumsub.core import TABLE_HEAP_LIMIT
 
 # o(x) for S={5,7}, x = 0..55 (same reference table as test_core).
 O_57 = (
@@ -136,6 +137,9 @@ class TestTwoActionStructure:
             build_two_action(0, 3)
         with pytest.raises(ValueError):
             build_two_action(3, 3)
+        # Refused before the X* blocks are allocated, so this costs nothing.
+        with pytest.raises(ValueError, match="above the supported"):
+            build_two_action(1, TABLE_HEAP_LIMIT)
 
     def test_as_dict_schema(self):
         assert build_two_action(5, 7).as_dict() == {

@@ -152,6 +152,12 @@ class TestOutcomeTable:
         assert table.outcomes == (0,)
         assert table.opts == (None,)
 
+    def test_greedy_from(self):
+        assert build_outcome_table(Ruleset((5, 7)), 55).greedy_from == 31
+        assert build_outcome_table(Ruleset((2, 3)), 7).greedy_from == 8
+        # Terminal heaps count as not max S, so an all-terminal table has none.
+        assert build_outcome_table(Ruleset((7, 9)), 3).greedy_from == 4
+
     def test_rejects_bad_x_max(self):
         with pytest.raises(ValueError):
             build_outcome_table(Ruleset((5, 7)), -1)
@@ -182,10 +188,12 @@ class TestOutcomeTable:
 
 
 def _kernel_table(kernel, rs, x_max):
-    """Run one DP kernel from heap 0 until it stops: (stop heap, o, opt) up to it."""
+    """Run one DP kernel from heap 0 until it stops: (last non-greedy heap,
+    o, opt) up to the stop, 4*max S heaps above that heap."""
     o, opts = [0] * (x_max + 1), [None] * (x_max + 1)
-    stop = kernel(rs, o, opts, 0, -1)
-    return stop, o[:stop + 1], opts[:stop + 1]
+    last = kernel(rs, o, opts, 0, -1)
+    stop = last + 4 * rs.max_action
+    return last, o[:stop + 1], opts[:stop + 1]
 
 
 class TestContiguousFastPath:
@@ -200,12 +208,14 @@ class TestContiguousFastPath:
         fast = _kernel_table(_table_contiguous, rs, 250)
         slow = _kernel_table(_table_generic, rs, 250)
         assert fast == slow
-        # Both stop where 4*max S heaps in a row first have opt max S.
-        stop, _, opts = fast
+        # Both return the last heap whose opt is not max S, and stop at
+        # the first run of 4*max S heaps with opt max S after it.
+        last, _, opts = fast
         m = rs.max_action
-        assert stop < 250
-        assert opts[stop - 4 * m] != m
-        assert opts[stop + 1 - 4 * m:] == [m] * (4 * m)
+        assert last + 4 * m < 250
+        assert opts[last] != m
+        assert opts[last + 1:] == [m] * (4 * m)
+        assert build_outcome_table(rs, 250).greedy_from == last + 1
 
     def test_build_routes_to_fast_path(self):
         # Same result through the public entry point, against references
@@ -260,6 +270,10 @@ class TestCanonicalTrace:
         trace = canonical_trace(Ruleset((2, 10, 13, 14)), 35)
         assert trace.actions == (10, 13, 10, 2)
         assert trace.final_score == 5
+        # Positive's actions need not decrease: 3 and then 7 from 20 in {3,7,9}.
+        trace = canonical_trace(Ruleset((3, 7, 9)), 20)
+        assert trace.actions == (3, 9, 7)
+        assert [m.score_after for m in trace.moves] == [3, -6, 1]
 
     def test_trace_2_3_sacrifice_opening(self):
         trace = canonical_trace(Ruleset((2, 3)), 7)
@@ -279,11 +293,6 @@ class TestCanonicalTrace:
         movers = [m.mover for m in trace.moves]
         assert movers[0] is Mover.POSITIVE
         assert all(a is not b for a, b in zip(movers, movers[1:]))
-
-    def test_actions_by_player(self):
-        trace = canonical_trace(Ruleset((1, 5, 7)), 18)
-        assert trace.actions_by(Mover.POSITIVE) == (5, 5)
-        assert trace.actions_by(Mover.NEGATIVE) == (7, 1)
 
     def test_start_score_only_shifts(self):
         rs = Ruleset((2, 3))

@@ -24,7 +24,7 @@ import tempfile
 
 import pytest
 
-from cumsub import ObservationReport, Ruleset, canonical_trace, check_nonincreasing_actions
+from cumsub import ObservationReport, Ruleset, canonical_trace
 from cumsub.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -69,14 +69,6 @@ OBSERVATION_WITH_WITNESS = (
     '{"mover": "positive", "action": 5, "score_after": 5}], "final_score": 5}}'
 )
 
-NONINCREASING_3_7_9 = (
-    '{"observation": "per-player-nonincreasing", "ruleset": [3, 7, 9], "holds": false, '
-    '"counterexample_x": 20, "witness": {"start_heap": 20, "start_score": 0, '
-    '"moves": [{"mover": "positive", "action": 3, "score_after": 3}, '
-    '{"mover": "negative", "action": 9, "score_after": -6}, '
-    '{"mover": "positive", "action": 7, "score_after": 1}], "final_score": 1}}'
-)
-
 
 def test_observation_report_with_witness_json():
     rs = Ruleset((5, 7))
@@ -88,11 +80,6 @@ def test_observation_report_with_witness_json():
         witness=canonical_trace(rs, 17, start_score=2),
     )
     assert json.dumps(report.as_dict()) == OBSERVATION_WITH_WITNESS
-
-
-def test_nonincreasing_witness_json():
-    report = check_nonincreasing_actions(Ruleset((3, 7, 9)), 20)
-    assert json.dumps(report.as_dict()) == NONINCREASING_3_7_9
 
 
 def _record() -> None:

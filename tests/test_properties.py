@@ -212,7 +212,12 @@ def test_resumed_table_equals_fresh_table(rs, n, data):
     lo, hi = rs.min_action, rs.max_action
     k = data.draw(st.one_of(st.integers(0, lo - 1), st.integers(0, hi - 1), st.integers(0, n)))
     k = min(k, n)
-    assert build_outcome_table(rs, n, build_outcome_table(rs, k)) == build_outcome_table(rs, n)
+    fresh = build_outcome_table(rs, n)
+    assert build_outcome_table(rs, n, build_outcome_table(rs, k)) == fresh
+    greedy_from = n + 1
+    while greedy_from > 0 and fresh.opts[greedy_from - 1] == hi:
+        greedy_from -= 1
+    assert fresh.greedy_from == greedy_from
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -236,6 +241,7 @@ def test_certified_tail_matches_independent_references(rs, data):
     for table in tables:
         assert table.outcomes == outcomes
         assert list(table.opts) == opts
+        assert table.greedy_from == last + 1
 
 
 def _complementary_score(sol, table, x):
