@@ -11,10 +11,17 @@ Grids are filled one anti-diagonal d = x1 + x2 at a time.  Every move
 lowers x1 + x2 by its s >= 1, so each cell depends only on earlier
 diagonals and the cells of one diagonal are independent of each other:
 a diagonal is a few whole-list operations, not a per-cell loop.
+
+The rules treat both piles alike, so o(x1, x2) = o(x2, x1): swapping
+the piles maps each move of one position onto a move of the other with
+the same s, and the recursion carries the equality up from the terminal
+cells.  So a diagonal solves its cells only up to its midpoint and copies
+the rest from their mirrors, and a column reads the matching row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -81,6 +88,11 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     fill the cells with no such move.  Nothing is padded, so memory stays
     proportional to the grid whatever max S is.  Cells with no move at
     all (both piles below min S) come out as -inf and are reset to 0.
+
+    By symmetry only x1 <= d // 2 is solved; cells x1 in (d // 2, d - lo]
+    copy their mirror d - x1 with one reversed slice.  On a grid wider than
+    tall, cells x1 > d - lo have their mirror at x2 = x1 >= H, off the
+    grid, and are solved like the first half.
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
@@ -93,29 +105,41 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     off_grid = [float("inf")] * min(width, height)  # longest diagonal
     last_dead = 2 * ruleset.min_action - 2  # last diagonal with a cell that has no move
     diags: list[list] = []
-    for d in range(width + height - 1):
-        lo = max(0, d - height + 1)
-        n = min(d, width - 1) - lo + 1
+
+    def cells(d: int, first: int, last: int) -> list:
+        """Cells x1 = first..last of diagonal d, from diagonals below d."""
+        n = last - first + 1
+        if n <= 0:
+            return []
         best = None
         for s in ruleset.actions:
             if s > d:
                 break
             prev = diags[d - s]
-            a = lo - max(0, d - s - height + 1)  # where (lo, d - lo - s) sits in prev
+            a = first - max(0, d - s - height + 1)  # where (first, d - first - s) sits in prev
             v = prev[a:a + n]
             v += off_grid[:n - len(v)]  # cells x2 < s have no vertical move
-            if s > lo:  # cells x1 < s have no horizontal move
-                k = min(n, s - lo)
+            if s > first:  # cells x1 < s have no horizontal move
+                k = min(n, s - first)
                 h = off_grid[:k] + prev[:n - k]
             else:
                 h = prev[a - s:a - s + n]
             cand = [s - (p if p < q else q) for p, q in zip(h, v)]
             best = cand if best is None else [x if x > y else y for x, y in zip(best, cand)]
         if best is None:
-            best = [0] * n
-        elif d <= last_dead:
-            best = [0 if x == no_move else x for x in best]
-        diags.append(best)
+            return [0] * n
+        if d <= last_dead:
+            return [0 if x == no_move else x for x in best]
+        return best
+
+    for d in range(width + height - 1):
+        lo, hi = max(0, d - height + 1), min(d, width - 1)
+        mid = min(hi, max(lo - 1, d // 2))  # last x1 solved before the mirror
+        top = min(hi, max(mid, d - lo))  # last x1 whose mirror d - x1 is on the grid
+        diag = cells(d, lo, mid)
+        diag += diag[d - top - lo:d - mid - lo][::-1]  # x1 in (mid, top] from d - x1
+        diag += cells(d, top + 1, hi)  # wide grids: mirror (d - x1, x1) has x1 >= height
+        diags.append(diag)
     rows = []
     for x2 in range(height):
         # Cell (x1, x2) is entry x1 - lo of diagonal x1 + x2: entry x1 while
@@ -157,7 +181,7 @@ def two_pile_minimax(
 
 
 def _line_report(
-    kind: str, index: int, line: list[int], p_max: int, t0: int = 0
+    kind: str, index: int, line: Sequence[int], p_max: int, t0: int = 0
 ) -> LinePeriodReport:
     """Minimal period on the last-third tail of a line starting at t = t0.
 
@@ -180,17 +204,25 @@ def row_period(grid: GridOutcome, x2: int) -> LinePeriodReport:
     m = grid.ruleset.max_action
     if grid.width < 6 * m:
         raise ValueError(f"row too short: need width >= {6 * m}, got {grid.width}")
-    return _line_report("row", x2, list(grid.values[x2]), 2 * m)
+    return _line_report("row", x2, grid.values[x2], 2 * m)
 
 
 def column_period(grid: GridOutcome, x1: int) -> LinePeriodReport:
-    """Probe column x1 for an eventual period p <= 2*max S."""
+    """Probe column x1 for an eventual period p <= 2*max S.
+
+    By symmetry, column x1 < H of a grid with H <= W is row x1 cut to the
+    height; other columns are gathered cell by cell.
+    """
     if not 0 <= x1 < grid.width:
         raise ValueError(f"column {x1} outside grid width {grid.width}")
     m = grid.ruleset.max_action
     if grid.height < 6 * m:
         raise ValueError(f"column too short: need height >= {6 * m}, got {grid.height}")
-    return _line_report("column", x1, list(map(itemgetter(x1), grid.values)), 2 * m)
+    if x1 < grid.height <= grid.width:  # o(x1, x2) = o(x2, x1): the column is row x1
+        column = grid.values[x1][:grid.height]
+    else:
+        column = list(map(itemgetter(x1), grid.values))
+    return _line_report("column", x1, column, 2 * m)
 
 
 def diagonal_period(grid: GridOutcome, k: int) -> LinePeriodReport:
@@ -244,6 +276,8 @@ def export_grid(grid: GridOutcome, fmt: str, path: str) -> None:
 
 def periodicity_reports(grid: GridOutcome, max_diag: int = 50) -> dict:
     """Row/column and diagonal period sweeps in the shared conjecture schema."""
+    if max_diag < 0:
+        raise ValueError(f"max_diag must be nonnegative, got {max_diag}")
     line_reports = [row_period(grid, x2) for x2 in range(grid.height)]
     line_reports += [column_period(grid, x1) for x1 in range(grid.width)]
     m = grid.ruleset.max_action

@@ -287,6 +287,19 @@ class TestGrid:
         assert "row too short" in err
         assert not path.exists()
 
+    def test_negative_max_diag_is_usage_error(self, capsys, tmp_path):
+        # No diagonal is swept, so a "holds" verdict would hold over nothing.
+        path = tmp_path / "g.csv"
+        code, out, err = run(
+            capsys,
+            ["grid", "-S", "5,7", "-W", "60", "-H", "60", "--periods",
+             "--max-diag", "-3", "--csv", str(path), "--json"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_diag must be nonnegative" in err
+        assert not path.exists()
+
     def test_grid_too_large_is_usage_error(self, capsys):
         # 10^10 cells: refused before anything is allocated.
         code, out, err = run(capsys, ["grid", "-S", "5,7", "-W", "100000", "-H", "100000"])
@@ -348,6 +361,7 @@ class TestScan:
     @pytest.mark.parametrize("argv", [
         ["scan", "duality", "--m-min", "5", "--m-max", "3"],
         ["scan", "last-move", "--x-cap", "-1"],
+        ["scan", "grid-periods", "-S", "5,7", "-W", "60", "-H", "60", "--max-diag", "-1"],
     ])
     def test_empty_range_is_usage_error(self, capsys, argv):
         # An empty sweep must not print a "holds" verdict over nothing.

@@ -13,6 +13,8 @@ asserted to be aperiodic.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from cumsub import (
@@ -53,6 +55,9 @@ class TestBuildGrid:
             assert column == table.outcomes, x1
 
     def test_symmetry(self, grid57):
+        # build_grid copies each mirrored cell, so this checks the builder
+        # against itself; test_matches_oracle_on_whole_grid is the
+        # independent check.
         for x2 in range(120):
             for x1 in range(x2):
                 assert grid57.values[x2][x1] == grid57.values[x1][x2]
@@ -76,6 +81,15 @@ class TestBuildGrid:
                 x2 = total - x1
                 expected = two_pile_minimax(Ruleset((5, 7)), x1, x2, memo)
                 assert grid57.outcome(x1, x2) == expected, (x1, x2)
+
+    @pytest.mark.parametrize("actions", [(5, 7), (2, 3, 5)])
+    @pytest.mark.parametrize(
+        "width, height", [(90, 7), (7, 90), (41, 40), (40, 41), (1, 50), (50, 1)]
+    )
+    def test_matches_oracle_on_whole_grid(self, actions, width, height):
+        # Square, nearly square, wide and tall: solved halves, mirrored
+        # halves and the off-grid tails of wide diagonals all meet here.
+        _assert_matches_oracle(build_grid(Ruleset(actions), width, height))
 
     def test_outcome_range_checks(self, grid23):
         with pytest.raises(ValueError):
@@ -110,12 +124,24 @@ class TestBuildGrid:
     def test_actions_larger_than_grid_cost_nothing(self, actions, width, height):
         # A grid's memory must not grow with max S: these grids are small
         # and their largest actions huge or half a side long.
-        rs = Ruleset(actions)
-        grid = build_grid(rs, width, height)
-        memo = {}
-        for x2 in range(height):
-            for x1 in range(width):
-                assert grid.values[x2][x1] == two_pile_minimax(rs, x1, x2, memo), (x1, x2)
+        _assert_matches_oracle(build_grid(Ruleset(actions), width, height))
+
+    def test_tall_grid_memory_matches_its_transpose(self):
+        # No cell reads a diagonal past its last column, so a diagonal
+        # stored too long changes no value: only memory shows it.  A tall
+        # grid must cost about what its transpose does (its extra row
+        # tuples make up the few percent between them).
+        rs = Ruleset((5, 7))
+
+        def peak(width, height):
+            tracemalloc.start()
+            try:
+                build_grid(rs, width, height)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40, 1500) < 1.3 * peak(1500, 40)
 
     def test_value_set(self, grid23):
         assert grid23.value_set == {v for row in grid23.values for v in row}
@@ -178,6 +204,21 @@ class TestLineProbes:
     def test_column_12_period(self, grid57):
         report = column_period(grid57, 12)
         assert (report.kind, report.period) == ("column", 14)
+
+    @pytest.mark.parametrize(
+        "actions, width, height", [((5, 7), 120, 120), ((5, 7), 200, 45), ((2, 3, 5), 45, 200)]
+    )
+    def test_column_equals_gathered_column(self, actions, width, height):
+        # Columns may be read from the matching row; probing the transposed
+        # grid's rows gathers every column cell by cell instead.
+        grid = build_grid(Ruleset(actions), width, height)
+        transposed = GridOutcome(grid.ruleset, height, width, tuple(zip(*grid.values)))
+        for x1 in range(width):
+            column, row = column_period(grid, x1), row_period(transposed, x1)
+            assert (column.kind, column.index) == ("column", x1)
+            assert (column.period, column.tail_start, column.verified_up_to) == (
+                row.period, row.tail_start, row.verified_up_to
+            ), x1
 
     def test_index_range_checks(self, grid57):
         with pytest.raises(ValueError):
@@ -249,6 +290,10 @@ class TestPeriodicityReports:
         assert diagonals["verdict"] == "holds"
         assert diagonals["swept_space"] == {"diagonals": 21}
 
+    def test_rejects_negative_max_diag(self, grid57):
+        with pytest.raises(ValueError, match="max_diag must be nonnegative"):
+            periodicity_reports(grid57, max_diag=-1)
+
 
 class TestExports:
     def test_csv_round_trip(self, grid23, tmp_path):
@@ -319,6 +364,14 @@ class TestExports:
     def test_missing_directory_raises_oserror(self, grid23, tmp_path):
         with pytest.raises(OSError):
             export_grid(grid23, "csv", str(tmp_path / "no" / "such" / "dir.csv"))
+
+
+def _assert_matches_oracle(grid):
+    memo = {}
+    for x2 in range(grid.height):
+        for x1 in range(grid.width):
+            expected = two_pile_minimax(grid.ruleset, x1, x2, memo)
+            assert grid.values[x2][x1] == expected, (x1, x2)
 
 
 def _reference_export(grid, fmt):

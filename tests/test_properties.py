@@ -298,6 +298,8 @@ def test_grid_matches_two_pile_oracle(shape):
             v = grid.values[x2][x1]
             assert type(v) is int, (x1, x2)
             assert v == two_pile_minimax(rs, x1, x2, memo), (x1, x2)
+    # build_grid copies mirrored cells, so this loop checks the builder
+    # against itself; the oracle loop above is the independent check.
     for x2 in range(min(width, height)):
         for x1 in range(x2):
             assert grid.values[x2][x1] == grid.values[x1][x2], (x1, x2)
