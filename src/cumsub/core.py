@@ -301,22 +301,30 @@ def minimax_values(ruleset: Ruleset, x_max: int) -> tuple[int, ...]:
 
     Deliberately not the single-table recursion: the minimizing player is
     carried explicitly, with one value table per player to move, so this
-    serves as an independent oracle for build_outcome_table.
+    serves as an independent oracle for build_outcome_table.  It keeps
+    values only, with no tie-break, and solves every heap up to x_max
+    with none of the DP's shortcuts (no deque, no stop at a certificate,
+    no tail filled by period), and it shares no code with the kernels.
+
+    Only the loop is tuned: on a nonterminal heap the least action is
+    always playable, so it seeds both best and worst, and the other
+    actions update them with plain comparisons.  Below max S the actions
+    after the least are cut to the playable ones by bisect.
     """
     _check_x_max(x_max)
+    acts = ruleset.actions
+    lo, rest, m = acts[0], acts[1:], acts[-1]
     vp: list[int] = [0] * (x_max + 1)  # Positive to move
     vn: list[int] = [0] * (x_max + 1)  # Negative to move
-    for h in range(ruleset.min_action, x_max + 1):
-        best = None
-        worst = None
-        for s in ruleset.actions:
-            if s > h:
-                break
+    for h in range(lo, x_max + 1):
+        best = lo + vn[h - lo]
+        worst = vp[h - lo] - lo
+        for s in rest if h >= m else rest[:bisect.bisect_right(rest, h)]:
             up = s + vn[h - s]
-            down = -s + vp[h - s]
-            if best is None or up > best:
+            if up > best:
                 best = up
-            if worst is None or down < worst:
+            down = vp[h - s] - s
+            if down < worst:
                 worst = down
         vp[h] = best
         vn[h] = worst
@@ -342,14 +350,15 @@ def canonical_trace(
         raise ValueError("supplied table does not cover this game")
     heap = x
     score = start_score
-    mover = Mover.POSITIVE
+    opts, lo = table.opts, ruleset.min_action
+    mover, waiting, sign = Mover.POSITIVE, Mover.NEGATIVE, 1
     moves: list[Move] = []
-    while not ruleset.is_terminal(heap):
-        action = table.opts[heap]
-        score += mover.sign * action
+    while heap >= lo:
+        action = opts[heap]
+        score += sign * action
         moves.append(Move(mover, action, score))
         heap -= action
-        mover = mover.opponent
+        mover, waiting, sign = waiting, mover, -sign
     return PlayTrace(start_heap=x, start_score=start_score, moves=tuple(moves), final_score=score)
 
 

@@ -21,6 +21,7 @@ the rest from their mirrors, and a column reads the matching row.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -155,10 +156,17 @@ def two_pile_minimax(
 ) -> int:
     """Independent two-pile oracle: explicit game values by player to move.
 
-    Filled bottom-up with one value table per mover, so it shares no code
-    with build_grid and has no recursion to run out of.  A caller's memo
+    Filled bottom-up, row by row, with one value table per mover, so it
+    shares no code with build_grid and has no recursion to run out of.
+    It reads no anti-diagonal and no mirror cell, so the symmetry
+    build_grid relies on is checked here, not assumed.  A caller's memo
     keeps the tables per ruleset; a larger request fills only the new
     cells, so a sweep through one memo costs one fill of its final size.
+
+    The loop has the shape of minimax_values: the pile-2 moves of row b,
+    into rows b - s, are collected once per row; on a cell where pile 1
+    can move, its least action seeds best and worst, and every other
+    move updates them with plain comparisons.
     """
     if x1 < 0 or x2 < 0:
         raise ValueError(f"pile sizes must be nonnegative, got ({x1},{x2})")
@@ -168,15 +176,36 @@ def two_pile_minimax(
         return vp[x2][x1]
     width = max(x1 + 1, len(vp[0]) if vp else 0)
     acts = ruleset.actions
+    lo, rest, m = acts[0], acts[1:], acts[-1]
     for b in range(max(x2 + 1, len(vp))):
         if b == len(vp):
             vp.append([])
             vn.append([])
         rp, rn = vp[b], vn[b]
+        downs = [(s, vp[b - s], vn[b - s]) for s in acts if s <= b]  # pile-2 moves
         for a in range(len(rp), width):
-            after = [(s, a - s, b) for s in acts if s <= a] + [(s, a, b - s) for s in acts if s <= b]
-            rp.append(max((s + vn[b2][a2] for s, a2, b2 in after), default=0))
-            rn.append(min((-s + vp[b2][a2] for s, a2, b2 in after), default=0))
+            if a < lo:  # pile 1 has no move
+                rp.append(max([s + n[a] for s, p, n in downs], default=0))
+                rn.append(min([p[a] - s for s, p, n in downs], default=0))
+                continue
+            best = lo + rn[a - lo]
+            worst = rp[a - lo] - lo
+            for s in rest if a >= m else rest[:bisect_right(rest, a)]:
+                up = s + rn[a - s]
+                if up > best:
+                    best = up
+                down = rp[a - s] - s
+                if down < worst:
+                    worst = down
+            for s, p, n in downs:
+                up = s + n[a]
+                if up > best:
+                    best = up
+                down = p[a] - s
+                if down < worst:
+                    worst = down
+            rp.append(best)
+            rn.append(worst)
     return vp[x2][x1]
 
 
@@ -282,7 +311,8 @@ def periodicity_reports(grid: GridOutcome, max_diag: int = 50) -> dict:
     line_reports += [column_period(grid, x1) for x1 in range(grid.width)]
     m = grid.ruleset.max_action
     diag_reports = []
-    for k in range(-max_diag, max_diag + 1):
+    # Only -(W-1) <= k <= H-1 names a diagonal of the grid.
+    for k in range(max(-max_diag, 1 - grid.width), min(max_diag, grid.height - 1) + 1):
         length = min(grid.width, grid.height - k) - max(0, -k)
         if length >= 6 * m:
             diag_reports.append(diagonal_period(grid, k))

@@ -13,6 +13,7 @@ asserted to be aperiodic.
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import pytest
@@ -293,6 +294,22 @@ class TestPeriodicityReports:
     def test_rejects_negative_max_diag(self, grid57):
         with pytest.raises(ValueError, match="max_diag must be nonnegative"):
             periodicity_reports(grid57, max_diag=-1)
+
+    @pytest.mark.parametrize("shape", [(60, 60), (200, 45), (45, 200)])
+    def test_max_diag_past_grid_is_clipped(self, shape):
+        # Only -(W-1) <= k <= H-1 names a diagonal, so a huge max_diag must
+        # cost no more than W + H and report the same diagonals.  The sweep
+        # takes milliseconds; over every k in [-max_diag, max_diag] it would
+        # run for hours, and even max_diag = 10**7 takes seconds.
+        grid = build_grid(Ruleset((5, 7)), *shape)
+        start = time.perf_counter()
+        huge = periodicity_reports(grid, max_diag=10**12)
+        assert time.perf_counter() - start < 1.0
+        edge = periodicity_reports(grid, max_diag=grid.width + grid.height)
+        assert huge["diagonals"]["parameters"].pop("max_diag") == 10**12
+        edge["diagonals"]["parameters"].pop("max_diag")
+        assert huge == edge
+        assert huge["diagonals"]["swept_space"]["diagonals"] > 0
 
 
 class TestExports:

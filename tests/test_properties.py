@@ -1,7 +1,7 @@
 """Property tests: closed forms, the complementary strategy, period probes,
 the convergence and period certificates, resumed tables and their
-period-filled tails, the optimal-action tie-break and two-pile grids
-against independent computations.
+period-filled tails, the optimal-action tie-break, two-pile grids and
+both minimax oracles against independent computations.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 checks the same cases.
@@ -9,8 +9,12 @@ checks the same cases.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import types
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from cumsub import core, multipile
 
 from cumsub import (
     Mover,
@@ -306,3 +310,87 @@ def test_grid_matches_two_pile_oracle(shape):
     dead = build_outcome_table(rs, width - 1).outcomes
     for x2 in range(min(rs.min_action, height)):
         assert grid.values[x2] == dead, x2
+
+
+def _game_tree_value(rs, piles, positive, memo):
+    """Value of the position by top-down search, the player to move an argument.
+
+    Every move removes s in S from one pile; Positive adds s to the score
+    and maximizes, Negative subtracts it and minimizes, and a position
+    with no move is worth 0.  Memoized on (piles, positive).
+    """
+    key = (piles, positive)
+    if key not in memo:
+        children = [
+            (s, piles[:i] + (p - s,) + piles[i + 1:])
+            for i, p in enumerate(piles)
+            for s in rs.actions
+            if s <= p
+        ]
+        if not children:
+            memo[key] = 0
+        elif positive:
+            memo[key] = max(s + _game_tree_value(rs, after, False, memo) for s, after in children)
+        else:
+            memo[key] = min(-s + _game_tree_value(rs, after, True, memo) for s, after in children)
+    return memo[key]
+
+
+one_rulesets = st.integers(2, 12).flatmap(
+    lambda m: st.sets(st.integers(1, m), max_size=3).map(
+        lambda rest: Ruleset(tuple(sorted(rest | {1, m})))
+    )
+)
+oracle_rulesets = st.one_of(rulesets, contiguous_rulesets, one_rulesets)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(oracle_rulesets)
+@example(Ruleset((1, 2)))
+@example(Ruleset((5, 6, 7)))
+def test_minimax_values_match_game_tree_search(rs):
+    memo = {}
+    expected = tuple(_game_tree_value(rs, (h,), True, memo) for h in range(61))
+    assert minimax_values(rs, 60) == expected
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(oracle_rulesets)
+@example(Ruleset((1, 2)))
+@example(Ruleset((5, 6, 7)))
+def test_two_pile_minimax_matches_game_tree_search(rs):
+    tree, oracle = {}, {}
+    for x2 in range(13):
+        for x1 in range(13):
+            expected = _game_tree_value(rs, (x1, x2), True, tree)
+            assert two_pile_minimax(rs, x1, x2, oracle) == expected, (x1, x2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(oracle_rulesets)
+def test_minimax_values_prefix(rs):
+    # Tables cut below min S, inside the first max S heaps and past them
+    # are prefixes of one longer table.
+    top = 3 * rs.max_action
+    full = minimax_values(rs, top)
+    for n in range(top + 1):
+        assert minimax_values(rs, n) == full[:n + 1], n
+
+
+def _names_used(code):
+    """Global, attribute and free names of a code object and the ones nested in it."""
+    names = set(code.co_names) | set(code.co_freevars)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names_used(const)
+    return names
+
+
+def test_oracles_share_no_code_with_the_builders():
+    # The oracles are only independent while they call none of the code
+    # they check.
+    builders = {"build_outcome_table", "_table_generic", "_table_contiguous", "greedy_from", "build_grid"}
+    for oracle in (core.minimax_values, multipile.two_pile_minimax):
+        names = _names_used(oracle.__code__)
+        assert names, oracle
+        assert not names & builders, (oracle.__name__, names & builders)
