@@ -37,7 +37,7 @@ def convergence_bound(ruleset: Ruleset) -> int:
 
 
 def default_x_max(ruleset: Ruleset) -> int:
-    """Table size used by the analysis entry points: bound plus a guard window."""
+    """Heap by which convergence_point must find its certificate: bound + 4*max S."""
     return convergence_bound(ruleset) + 4 * ruleset.max_action
 
 
@@ -45,7 +45,6 @@ def default_x_max(ruleset: Ruleset) -> int:
 class PeriodReport(Report):
     period: int
     tail_start: int
-    verified_up_to: int
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class ConvergenceReport(Report):
     ruleset: Ruleset
     xi: int
     converged_action: int
-    verified_up_to: int
     bound_satisfied: bool
     period: PeriodReport
 
@@ -93,15 +91,14 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     8*max S heaps, and grows it in place, doubling up to default_x_max,
     until its greedy_from lies at least 2*max S heaps below its top.  That
     run certifies opt = max S on every heap from xi = greedy_from on, not
-    just inside the table (see build_outcome_table).  A non-greedy opt
-    beyond the proven bound 2*(max S)^2, or no certificate by
-    default_x_max, is reported as a theorem violation.  The table builder
-    solves the 4*max S heaps from xi by DP and fills only above them, so
-    the period check reads no filled heap.  Since the certificate covers
-    every heap, verified_up_to is only a floor: max(final table x_max,
-    default_x_max).  The same table, grown to xi + 4*max S heaps if
-    shorter, then certifies the period from xi (see eventual_period);
-    failing there is a theorem violation too.
+    just inside the table (see build_outcome_table), so the report is the
+    same whatever table the caller passes.  A non-greedy opt beyond the
+    proven bound 2*(max S)^2, or no certificate by default_x_max, is a
+    theorem violation.  The builder solves the 4*max S heaps from xi by DP
+    and fills only above them, so the period check reads no filled heap:
+    the same table, grown to xi + 4*max S heaps if shorter, certifies the
+    period from xi (see eventual_period), and failing there is a theorem
+    violation too.
     """
     m = ruleset.max_action
     bound = convergence_bound(ruleset)
@@ -131,7 +128,6 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
         ruleset=ruleset,
         xi=xi,
         converged_action=m,
-        verified_up_to=max(table.x_max, cap),
         bound_satisfied=xi <= bound,
         period=period,
     )
@@ -146,10 +142,9 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
     tail_start.  Each o(x) with x >= max S depends only on the max S values
     below it, so 3*max S heaps repeating at lag p repeat those windows, and
     with them every later value: the period holds on every heap from
-    tail_start on, not just inside the window.  verified_up_to is
-    therefore only a floor, max(table x_max, default_x_max), as in
-    ConvergenceReport.  A tail not yet periodic raises ValueError; the
-    tail from convergence_point's xi is always periodic.
+    tail_start on, not just inside the window.  A tail not yet periodic
+    raises ValueError; the tail from convergence_point's xi is always
+    periodic.
     """
     m = table.ruleset.max_action
     if tail_start < 0 or tail_start > table.x_max:
@@ -162,8 +157,7 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
     tail = table.outcomes[tail_start:tail_start + 4 * m]
     for p in range(1, 2 * m + 1):
         if (2 * m) % p == 0 and tail[p:] == tail[:-p]:
-            top = max(table.x_max, default_x_max(table.ruleset))
-            return PeriodReport(period=p, tail_start=tail_start, verified_up_to=top)
+            return PeriodReport(period=p, tail_start=tail_start)
     raise ValueError(
         f"no period dividing {2 * m} on tail [{tail_start}, {table.x_max}] for {table.ruleset}"
     )

@@ -77,7 +77,7 @@ def cmd_converge(args) -> int:
               f"satisfied: {report.bound_satisfied})")
         print(f"converged action = {report.converged_action}")
         print(f"eventual period = {report.period.period} "
-              f"(verified on [{report.period.tail_start}, {report.period.verified_up_to}])")
+              f"(certified from heap {report.period.tail_start} on)")
     return 0
 
 

@@ -63,10 +63,11 @@ class GridOutcome:
 class LinePeriodReport(Report):
     """Eventual-period probe along one grid line.
 
-    period is None when no candidate holds over the evidence window (the
-    last third of the line, requiring at least two full periods there).
-    For rows index is x2, for columns x1, for diagonals the offset k of
-    the line (t, t+k); tail_start and verified_up_to are t coordinates.
+    The verdict is windowed: period is None when no candidate holds over
+    the evidence window, the last third of the line, which must span at
+    least two full periods.  tail_start and verified_up_to are the first
+    and last t of that window.  For rows index is x2, for columns x1, for
+    diagonals the offset k of the line (t, t+k).
     """
 
     kind: str

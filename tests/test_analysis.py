@@ -16,6 +16,7 @@ import pytest
 from cumsub import (
     Mover,
     OutcomeTable,
+    PeriodReport,
     Ruleset,
     TheoremViolationError,
     build_outcome_table,
@@ -48,7 +49,7 @@ class TestConvergencePoint:
         assert report.xi == 31
         assert report.converged_action == 7
         assert report.bound_satisfied
-        assert report.verified_up_to == default_x_max(Ruleset((5, 7))) == 126
+        assert report.period == PeriodReport(period=14, tail_start=31)
 
     def test_xi_4_5(self):
         assert convergence_point(Ruleset((4, 5))).xi == 32
@@ -150,10 +151,17 @@ class TestConvergencePoint:
             "ruleset": [5, 7],
             "xi": 31,
             "converged_action": 7,
-            "verified_up_to": 126,
             "bound_satisfied": True,
-            "period": {"period": 14, "tail_start": 31, "verified_up_to": 126},
+            "period": {"period": 14, "tail_start": 31},
         }
+
+    def test_report_independent_of_table_length(self):
+        # Both certificates hold on every heap, so a caller's long table
+        # changes nothing in the report.
+        for actions in ((5, 7), (2, 5, 6), (3, 4, 5, 6)):
+            rs = Ruleset(actions)
+            long = build_outcome_table(rs, 3 * default_x_max(rs))
+            assert convergence_point(rs, long) == convergence_point(rs), rs
 
     def test_grows_one_table_in_place(self, monkeypatch):
         # Every DP call extends the table the previous one returned, so no
@@ -183,7 +191,7 @@ class TestEventualPeriod:
         report = eventual_period(table, 31)
         assert report.period == 14
         assert report.tail_start == 31
-        assert report.verified_up_to == 126
+        assert report == eventual_period(build_outcome_table(rs, 31 + 4 * 7), 31)
 
     def test_period_2_3(self):
         table = build_outcome_table(Ruleset((2, 3)), 60)
@@ -239,7 +247,6 @@ class TestEventualPeriod:
         assert eventual_period(table, 8).as_dict() == {
             "period": 6,
             "tail_start": 8,
-            "verified_up_to": 60,
         }
 
 

@@ -148,11 +148,8 @@ class TestConverge:
         assert code == 0
         payload = json.loads(out)
         assert payload["xi"] == 2000
-        assert payload["period"] == {
-            "period": 4000,
-            "tail_start": 2000,
-            "verified_up_to": 2 * 2000**2 + 4 * 2000,
-        }
+        assert payload["period"] == {"period": 4000, "tail_start": 2000}
+        assert "verified_up_to" not in payload
 
     def test_extremal_pair(self, capsys):
         # {s-1, s} has the largest xi for its max S, 2*(s-1)^2; the table
@@ -161,8 +158,8 @@ class TestConverge:
         assert code == 0
         payload = json.loads(out)
         assert payload["xi"] == 79202
-        assert payload["verified_up_to"] == 80800
-        assert payload["period"] == {"period": 400, "tail_start": 79202, "verified_up_to": 80800}
+        assert payload["period"] == {"period": 400, "tail_start": 79202}
+        assert "verified_up_to" not in payload
 
 
 class TestTwoAction:
