@@ -7,26 +7,29 @@ single-pile game, maximized over both piles.  No closed form is known;
 this module computes grids exactly and probes rows, columns, and
 diagonals for eventual periodicity to feed the open conjectures.
 
-Grids are filled one anti-diagonal d = x1 + x2 at a time.  Every move
-lowers x1 + x2 by its s >= 1, so each cell depends only on earlier
-diagonals and the cells of one diagonal are independent of each other:
-a diagonal is a few whole-list operations, not a per-cell loop.
+Grids are filled row by row.  A move lowers one pile, so cell (x1, x2)
+reads only cells to its left in its own row and cells of its column in
+lower rows: a row solved left to right is exact once the rows below it
+are.  A row stops solving where a certificate shows that it repeats with
+period 2 max S from there on, over the whole infinite row, and the rest
+is filled by period.  This is the single-pile certificate carried to
+rows; build_grid holds the proof.
 
 The rules treat both piles alike, so o(x1, x2) = o(x2, x1): swapping
 the piles maps each move of one position onto a move of the other with
 the same s, and the recursion carries the equality up from the terminal
-cells.  So a diagonal solves its cells only up to its midpoint and copies
-the rest from their mirrors, and a column reads the matching row.
+cells.  So a row copies its cells left of the main diagonal from the
+rows below, a tall grid reads its rows past the width from the periodic
+tails of certified rows, and a column reads the matching row.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import getitem, itemgetter
+from operator import eq, getitem, itemgetter
 
 from .analysis import conjecture_report
 from .core import TABLE_HEAP_LIMIT, Report, Ruleset
@@ -80,21 +83,36 @@ class LinePeriodReport(Report):
 def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     """Exact two-pile table: o = max over both piles of s - o(after).
 
-    Filled by anti-diagonals d = x1 + x2 in increasing order.  A move by s
-    leads from diagonal d to diagonal d - s, so each diagonal reads only
-    finished ones and the order is exact.  Diagonal d is stored for x1 in
-    [lo, hi] = [max(0, d-H+1), min(d, W-1)].  For each s the vertical
-    predecessors (x1, x2-s) are a contiguous slice of diagonal d - s that
-    ends early where x2 < s, and the horizontal ones (x1-s, x2) a slice
-    that starts late where x1 < s; infinities, which no minimum picks,
-    fill the cells with no such move.  Nothing is padded, so memory stays
-    proportional to the grid whatever max S is.  Cells with no move at
-    all (both piles below min S) come out as -inf and are reset to 0.
+    Filled row by row, x2 = 0, 1, ...  Cell (x1, x2) reads (x1 - s, x2)
+    to its left in its own row and (x1, x2 - s) in the rows below, so a
+    row solved left to right is exact once the rows below it are.  Cells
+    with no move at all (both piles below min S) are 0.  In row x2 < W the
+    cells x1 < x2 copy their mirrors (x2, x1) from the rows below; the
+    rest are solved until the row is certified periodic, and the cells
+    after that are filled by period.
 
-    By symmetry only x1 <= d // 2 is solved; cells x1 in (d // 2, d - lo]
-    copy their mirror d - x1 with one reversed slice.  On a grid wider than
-    tall, cells x1 > d - lo have their mirror at x2 = x1 >= H, off the
-    grid, and are solved like the first half.
+    The certificate.  Let m = max S.  Row x2 repeats with period 2m from
+    X on, over the whole infinite row, when
+      (a) the m cells X - m .. X - 1 equal the cells 2m to their left,
+      (b) X >= 3m, and
+      (c) X >= the start of every row x2 - s, s in S, s <= x2.
+    Proof, by induction on x1 >= X.  Both x1 and x1 - 2m are at least m,
+    so both cells play every action on pile 1, and the same actions on
+    pile 2, which depend on x2 alone.  So o(x1, x2) and o(x1 - 2m, x2) are
+    one function of the m cells to their left in row x2 and of the cells
+    in rows x2 - s of their own column.  The cells to the left agree by
+    (a), and then by induction; the lower cells agree by (c), because rows
+    x2 - s repeat from their starts on.  Rows below min S read no lower
+    row; row 0 is the single-pile game.  A row's start is the least X
+    meeting (a) to (c), found by one scan when the mirrored cells hold it
+    and by a run counter while solving otherwise.  A row that never
+    certifies gets start W + 1, so no row above it certifies through it.
+
+    A tall grid's rows x2 >= W have every mirror (x2, x1) off the grid.
+    When row x1 is certified, that mirror is its tail, read at the cell of
+    the last 2m congruent to x2; the other cells are solved, and these
+    rows are not certified themselves.  Rows are stored to width W only,
+    so memory stays proportional to the grid whatever max S is.
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
@@ -103,53 +121,82 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
             f"grid {width}x{height} has {width * height} cells, "
             f"above the supported {TABLE_HEAP_LIMIT}"
         )
-    no_move = float("-inf")
-    off_grid = [float("inf")] * min(width, height)  # longest diagonal
-    last_dead = 2 * ruleset.min_action - 2  # last diagonal with a cell that has no move
-    diags: list[list] = []
-
-    def cells(d: int, first: int, last: int) -> list:
-        """Cells x1 = first..last of diagonal d, from diagonals below d."""
-        n = last - first + 1
-        if n <= 0:
-            return []
-        best = None
-        for s in ruleset.actions:
-            if s > d:
-                break
-            prev = diags[d - s]
-            a = first - max(0, d - s - height + 1)  # where (first, d - first - s) sits in prev
-            v = prev[a:a + n]
-            v += off_grid[:n - len(v)]  # cells x2 < s have no vertical move
-            if s > first:  # cells x1 < s have no horizontal move
-                k = min(n, s - first)
-                h = off_grid[:k] + prev[:n - k]
-            else:
-                h = prev[a - s:a - s + n]
-            cand = [s - (p if p < q else q) for p, q in zip(h, v)]
-            best = cand if best is None else [x if x > y else y for x, y in zip(best, cand)]
-        if best is None:
-            return [0] * n
-        if d <= last_dead:
-            return [0 if x == no_move else x for x in best]
-        return best
-
-    for d in range(width + height - 1):
-        lo, hi = max(0, d - height + 1), min(d, width - 1)
-        mid = min(hi, max(lo - 1, d // 2))  # last x1 solved before the mirror
-        top = min(hi, max(mid, d - lo))  # last x1 whose mirror d - x1 is on the grid
-        diag = cells(d, lo, mid)
-        diag += diag[d - top - lo:d - mid - lo][::-1]  # x1 in (mid, top] from d - x1
-        diag += cells(d, top + 1, hi)  # wide grids: mirror (d - x1, x1) has x1 >= height
-        diags.append(diag)
-    rows = []
-    for x2 in range(height):
-        # Cell (x1, x2) is entry x1 - lo of diagonal x1 + x2: entry x1 while
-        # that diagonal starts at x1 = 0 (x1 + x2 < height), then height - 1 - x2.
-        k = min(width, height - x2)
-        slots = chain(range(k), repeat(height - 1 - x2, width - k))
-        rows.append(tuple(map(getitem, diags[x2:x2 + width], slots)))
+    acts = ruleset.actions
+    m = acts[-1]
+    lag, never = 2 * m, width + 1
+    window = b"\x01" * m if 3 * m <= width else None  # else no row certifies, by (b)
+    # Pile-1 actions past the least one that x1 < max S can play.
+    playable = [acts[1:bisect_right(acts, x1)] for x1 in range(min(m, width))]
+    rows: list[tuple[int, ...]] = []
+    starts: list[int] = []  # row x2 repeats with period 2m from starts[x2] on
+    for x2 in range(min(width, height)):
+        row = list(map(itemgetter(x2), rows))  # x1 < x2: the mirrors
+        row += [None] * (width - x2)
+        floor = max([3 * m] + [starts[x2 - s] for s in acts if s <= x2])
+        # same[i]: mirrored cell a + 2m + i equals the cell 2m to its left.
+        a = max(0, min(floor, x2) - 3 * m)
+        same = bytes(map(eq, row[a + lag:x2], row[a:]))
+        if floor <= x2 and (i := same.find(window)) >= 0:
+            start = a + 3 * m + i
+        else:
+            run = len(same) - len(same.rstrip(b"\x01"))
+            start = _solve_row(row, range(x2, width), rows, acts, playable, floor, run)
+        if start < width:  # the rest by period 2m
+            rem = width - start
+            row[start:] = (row[start - lag:start] * (rem // lag + 1))[:rem]
+        rows.append(tuple(row))
+        starts.append(start)
+    if height > width:  # rows x2 >= W: mirrors off the grid
+        blank = (None,) * width
+        tails = [r if x <= width else blank for r, x in zip(rows, starts)]
+        todo = [x1 for x1, x in enumerate(starts) if x > width]
+        for x2 in range(width, height):
+            # A certified row holds at least 2m cells (b): index x2 in its last 2m.
+            phase = width - lag + (x2 - width) % lag if window else 0
+            row = list(map(itemgetter(phase), tails))
+            _solve_row(row, todo, rows, acts, playable, never, 0)
+            rows.append(tuple(row))
     return GridOutcome(ruleset=ruleset, width=width, height=height, values=tuple(rows))
+
+
+def _solve_row(
+    row: list, todo: Sequence[int], rows: list, acts: tuple, playable: list, floor: int, run: int
+) -> int:
+    """Solve the cells x1 in todo of row len(rows) of a grid, left to right.
+
+    The cells left of each one and the rows below must be filled.  Stops
+    at the first x1 + 1 >= floor that ends a run of max S cells equal to
+    the cells 2 max S to their left, counting the run the row came in
+    with, and returns it; otherwise solves every cell and returns W + 1.
+    The loop has the shape of minimax_values.
+    """
+    x2 = len(rows)
+    lo, rest, m = acts[0], acts[1:], acts[-1]
+    lag = 2 * m
+    downs = [(s, rows[x2 - s]) for s in acts if s <= x2]  # pile-2 moves
+    i = bisect_left(todo, lo)
+    if i:  # pile 1 has no move: these cells all hold the single-pile o(x2)
+        v = max([s - r[todo[0]] for s, r in downs], default=0)
+        for x1 in todo[:i]:
+            row[x1] = v
+    for x1 in todo[i:]:
+        v = lo - row[x1 - lo]
+        for s in rest if x1 >= m else playable[x1]:
+            up = s - row[x1 - s]
+            if up > v:
+                v = up
+        for s, r in downs:
+            up = s - r[x1]
+            if up > v:
+                v = up
+        row[x1] = v
+        if x1 >= lag and v == row[x1 - lag]:
+            run += 1
+            if run >= m and x1 >= floor - 1:
+                return x1 + 1
+        else:
+            run = 0
+    return len(row) + 1
 
 
 def two_pile_minimax(
@@ -159,10 +206,11 @@ def two_pile_minimax(
 
     Filled bottom-up, row by row, with one value table per mover, so it
     shares no code with build_grid and has no recursion to run out of.
-    It reads no anti-diagonal and no mirror cell, so the symmetry
-    build_grid relies on is checked here, not assumed.  A caller's memo
-    keeps the tables per ruleset; a larger request fills only the new
-    cells, so a sweep through one memo costs one fill of its final size.
+    It reads no mirror cell and fills nothing by period, so the symmetry
+    and the row certificate build_grid relies on are checked here, not
+    assumed.  A caller's memo keeps the tables per ruleset; a larger
+    request fills only the new cells, so a sweep through one memo costs
+    one fill of its final size.
 
     The loop has the shape of minimax_values: the pile-2 moves of row b,
     into rows b - s, are collected once per row; on a cell where pile 1

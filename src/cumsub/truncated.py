@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .analysis import conjecture_report, convergence_point
+from .analysis import TheoremViolationError, conjecture_report, convergence_point
 from .core import Report, Ruleset
 
 
@@ -156,8 +156,18 @@ def sweep_truncated(m_min: int, m_max: int, csv_dir: str | None = None) -> list[
 
 
 def duality_conjecture_report(m_min: int, m_max: int) -> dict:
-    """The conjecture verdicts of sweep_truncated in the shared conjecture schema."""
+    """The conjecture verdicts of sweep_truncated in the shared conjecture schema.
+
+    The proven parts of each theorem check are enforced, not reported:
+    early_all_two or delta_equals_multiplicity false for some m raises
+    TheoremViolationError.  matches_stated is not among them, because the
+    published floor(m/2) is off by one for even m.
+    """
     reports = sweep_truncated(m_min, m_max)
+    for report in reports:
+        theorem = report["theorem"]
+        if theorem and not (theorem["early_all_two"] and theorem["delta_equals_multiplicity"]):
+            raise TheoremViolationError(f"proven tr structure fails at m={report['m']}: {theorem}")
     return conjecture_report(
         conjecture="truncated-duality",
         parameters={"m_min": m_min, "m_max": m_max},

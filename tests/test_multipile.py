@@ -29,6 +29,7 @@ from cumsub import (
     row_period,
     two_pile_minimax,
 )
+from cumsub import multipile
 from cumsub.core import TABLE_HEAP_LIMIT
 from cumsub.multipile import periodicity_reports
 
@@ -88,8 +89,8 @@ class TestBuildGrid:
         "width, height", [(90, 7), (7, 90), (41, 40), (40, 41), (1, 50), (50, 1)]
     )
     def test_matches_oracle_on_whole_grid(self, actions, width, height):
-        # Square, nearly square, wide and tall: solved halves, mirrored
-        # halves and the off-grid tails of wide diagonals all meet here.
+        # Square, nearly square, wide and tall: mirrored cells, solved
+        # cells and the rows of a tall grid past its width all meet here.
         _assert_matches_oracle(build_grid(Ruleset(actions), width, height))
 
     def test_outcome_range_checks(self, grid23):
@@ -128,10 +129,11 @@ class TestBuildGrid:
         _assert_matches_oracle(build_grid(Ruleset(actions), width, height))
 
     def test_tall_grid_memory_matches_its_transpose(self):
-        # No cell reads a diagonal past its last column, so a diagonal
-        # stored too long changes no value: only memory shows it.  A tall
-        # grid must cost about what its transpose does (its extra row
-        # tuples make up the few percent between them).
+        # Rows past the width read their off-grid mirrors from the tails
+        # of certified rows, so a row stored past the width would change
+        # no value: only memory shows it.  A tall grid must cost about what
+        # its transpose does (its extra row tuples make up the few percent
+        # between them).
         rs = Ruleset((5, 7))
 
         def peak(width, height):
@@ -143,6 +145,41 @@ class TestBuildGrid:
                 tracemalloc.stop()
 
         assert peak(40, 1500) < 1.3 * peak(1500, 40)
+
+    def test_rows_certified_inside_the_mirrored_cells(self):
+        # Every row of {1,2,3,5,8} repeats from x1 = 24 = 3 max S on, so
+        # rows above that certify on their mirrored cells alone and are
+        # filled by period without solving a cell.
+        _assert_matches_oracle(build_grid(Ruleset((1, 2, 3, 5, 8)), 200, 200))
+
+    def test_tall_grid_reads_certified_off_grid_mirrors(self):
+        # Rows x2 >= 60 take the cells of the certified rows x1 from their
+        # periodic tails at x2, and solve the others.
+        rs = Ruleset((5, 7))
+        tall = build_grid(rs, 60, 400)
+        _assert_matches_oracle(tall)
+        assert tall.values == tuple(zip(*build_grid(rs, 400, 60).values))
+
+    def test_rows_stop_solving_near_the_main_diagonal(self, monkeypatch):
+        # A certificate that never fires leaves every value right, so only
+        # the work shows it.  On {5,7} each row x2 < W - 45 certifies by
+        # x1 = x2 + 45 and is filled by period from there.
+        solve, calls = multipile._solve_row, []
+
+        def spy(row, todo, *args):
+            start = solve(row, todo, *args)
+            calls.append((todo[0], start))
+            return start
+
+        monkeypatch.setattr(multipile, "_solve_row", spy)
+        build_grid(Ruleset((5, 7)), 300, 300)
+        rows = [(x2, start) for x2, start in calls if x2 < 255]
+        assert len(rows) > 200
+        assert all(start <= x2 + 45 for x2, start in rows), max(s - x for x, s in rows)
+
+    def test_grid_where_no_row_certifies(self):
+        # 3 max S = 123 exceeds the width, so every cell is solved.
+        _assert_matches_oracle(build_grid(Ruleset((40, 41)), 100, 300))
 
     def test_value_set(self, grid23):
         assert grid23.value_set == {v for row in grid23.values for v in row}

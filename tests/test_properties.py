@@ -293,8 +293,9 @@ grid_shapes = st.tuples(sized_action_sets(12), st.integers(1, 60), st.integers(1
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(grid_shapes)
 def test_grid_matches_two_pile_oracle(shape):
-    # Rectangles, sides shorter than max S included: the per-diagonal
-    # offsets of the wavefront fill are where a shape bug would show.
+    # Rectangles, sides shorter than max S included: the cells below
+    # max S and the rows of a tall grid past its width are where a shape
+    # bug would show.
     rs, width, height = shape
     grid = build_grid(rs, width, height)
     memo = {}
@@ -311,6 +312,26 @@ def test_grid_matches_two_pile_oracle(shape):
     dead = build_outcome_table(rs, width - 1).outcomes
     for x2 in range(min(rs.min_action, height)):
         assert grid.values[x2] == dead, x2
+
+
+certifying_grids = st.tuples(sized_action_sets(8), st.integers(24, 160), st.integers(24, 160))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(certifying_grids)
+@example((Ruleset((5, 7)), 160, 120))
+@example((Ruleset((1, 2, 3, 5, 8)), 60, 160))
+def test_certified_grid_rows_match_two_pile_oracle(shape):
+    # Sides from 3 max S (the least start of a certified row) to 160: most
+    # rows certify, many on their mirrored cells alone, and a tall grid
+    # reads certified off-grid mirrors, so the oracle checks every cell
+    # filled by period.
+    rs, width, height = shape
+    grid = build_grid(rs, width, height)
+    memo = {}
+    for x2 in range(height):
+        for x1 in range(width):
+            assert grid.values[x2][x1] == two_pile_minimax(rs, x1, x2, memo), (x1, x2)
 
 
 def _game_tree_value(rs, piles, positive, memo):
@@ -390,7 +411,10 @@ def _names_used(code):
 def test_oracles_share_no_code_with_the_builders():
     # The oracles are only independent while they call none of the code
     # they check.
-    builders = {"build_outcome_table", "_table_generic", "_table_contiguous", "greedy_from", "build_grid"}
+    builders = {
+        "build_outcome_table", "_table_generic", "_table_contiguous", "greedy_from",
+        "build_grid", "_solve_row",
+    }
     for oracle in (core.minimax_values, multipile.two_pile_minimax):
         names = _names_used(oracle.__code__)
         assert names, oracle

@@ -11,17 +11,21 @@ hold on every m tested.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
 
 from cumsub import (
+    TheoremViolationError,
     check_duality_conjecture,
     check_duality_theorem,
     duality_conjecture_report,
     sweep_truncated,
     tr_sequence,
+    truncated,
 )
+from cumsub.cli import main
 
 TR_ROWS = {
     2: (1,),
@@ -144,6 +148,23 @@ class TestDualityConjecture:
         assert report["verdict"] == "holds"
         assert report["swept_space"] == {"m_count": 11}
         assert report["counterexamples"] == []
+
+    @pytest.mark.parametrize("field", ["early_all_two", "delta_equals_multiplicity"])
+    def test_report_raises_on_theorem_violation(self, monkeypatch, capsys, field):
+        # A proven part failing at one m is a solver bug: the report must
+        # raise, and the CLI exit 3 with nothing on stdout.
+        check = truncated.check_duality_theorem
+
+        def broken(profile):
+            report = check(profile)
+            return dataclasses.replace(report, **{field: profile.m != 7})
+
+        monkeypatch.setattr(truncated, "check_duality_theorem", broken)
+        with pytest.raises(TheoremViolationError, match="m=7"):
+            duality_conjecture_report(2, 10)
+        assert main(["scan", "duality", "--m-min", "2", "--m-max", "10"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("theorem violation: proven tr structure fails at m=7")
 
     def test_report_rejects_empty_range(self):
         # The report shares sweep_truncated's range check: no "holds" over
