@@ -114,9 +114,9 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
             )
         table = build_outcome_table(ruleset, min(2 * table.x_max, cap), table)
     xi = table.greedy_from
-    if xi > bound + 1:
+    if xi > bound:
         raise TheoremViolationError(
-            f"opt({xi - 1}) = {table.opts[xi - 1]} != {m} beyond the convergence bound {bound} for {ruleset}"
+            f"xi = {xi}, opt({xi - 1}) = {table.opts[xi - 1]} != {m}: beyond the convergence bound {bound} for {ruleset}"
         )
     if table.x_max < xi + 4 * m:
         table = build_outcome_table(ruleset, xi + 4 * m, table)

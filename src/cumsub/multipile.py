@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq, getitem, itemgetter
+from operator import getitem, itemgetter
 
 from .analysis import conjecture_report
 from .core import TABLE_HEAP_LIMIT, Report, Ruleset
@@ -103,10 +103,13 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     in rows x2 - s of their own column.  The cells to the left agree by
     (a), and then by induction; the lower cells agree by (c), because rows
     x2 - s repeat from their starts on.  Rows below min S read no lower
-    row; row 0 is the single-pile game.  A row's start is the least X
-    meeting (a) to (c), found by one scan when the mirrored cells hold it
-    and by a run counter while solving otherwise.  A row that never
-    certifies gets start W + 1, so no row above it certifies through it.
+    row; row 0 is the single-pile game.  A row's start is the least
+    X >= x2 + 1 meeting (a) to (c), found by a run counter while solving;
+    the counter starts from the run of mirrored cells that ends at x2 - 1.
+    So a row whose mirrored cells already hold a certificate solves one
+    cell, and its start is x2 + 1, not always the least X meeting (a) to
+    (c).  A row that never certifies gets start W + 1, so no row above it
+    certifies through it.
 
     A tall grid's rows x2 >= W have every mirror (x2, x1) off the grid.
     When row x1 is certified, that mirror is its tail, read at the cell of
@@ -114,17 +117,10 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     rows are not certified themselves.  Rows are stored to width W only,
     so memory stays proportional to the grid whatever max S is.
     """
-    if width < 1 or height < 1:
-        raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
-    if width * height >= TABLE_HEAP_LIMIT:
-        raise ValueError(
-            f"grid {width}x{height} has {width * height} cells, "
-            f"above the supported {TABLE_HEAP_LIMIT}"
-        )
+    _check_grid(width, height)
     acts = ruleset.actions
     m = acts[-1]
     lag, never = 2 * m, width + 1
-    window = b"\x01" * m if 3 * m <= width else None  # else no row certifies, by (b)
     # Pile-1 actions past the least one that x1 < max S can play.
     playable = [acts[1:bisect_right(acts, x1)] for x1 in range(min(m, width))]
     rows: list[tuple[int, ...]] = []
@@ -133,14 +129,10 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
         row = list(map(itemgetter(x2), rows))  # x1 < x2: the mirrors
         row += [None] * (width - x2)
         floor = max([3 * m] + [starts[x2 - s] for s in acts if s <= x2])
-        # same[i]: mirrored cell a + 2m + i equals the cell 2m to its left.
-        a = max(0, min(floor, x2) - 3 * m)
-        same = bytes(map(eq, row[a + lag:x2], row[a:]))
-        if floor <= x2 and (i := same.find(window)) >= 0:
-            start = a + 3 * m + i
-        else:
-            run = len(same) - len(same.rstrip(b"\x01"))
-            start = _solve_row(row, range(x2, width), rows, acts, playable, floor, run)
+        run = 0  # mirrored cells ending at x2 - 1 that equal the cell 2m to their left
+        while run < m and x2 - run > lag and row[x2 - run - 1] == row[x2 - run - 1 - lag]:
+            run += 1
+        start = _solve_row(row, range(x2, width), rows, acts, playable, floor, run)
         if start < width:  # the rest by period 2m
             rem = width - start
             row[start:] = (row[start - lag:start] * (rem // lag + 1))[:rem]
@@ -152,11 +144,21 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
         todo = [x1 for x1, x in enumerate(starts) if x > width]
         for x2 in range(width, height):
             # A certified row holds at least 2m cells (b): index x2 in its last 2m.
-            phase = width - lag + (x2 - width) % lag if window else 0
+            phase = width - lag + (x2 - width) % lag if 3 * m <= width else 0
             row = list(map(itemgetter(phase), tails))
             _solve_row(row, todo, rows, acts, playable, never, 0)
             rows.append(tuple(row))
     return GridOutcome(ruleset=ruleset, width=width, height=height, values=tuple(rows))
+
+
+def _check_grid(width: int, height: int) -> None:
+    if width < 1 or height < 1:
+        raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
+    if width * height >= TABLE_HEAP_LIMIT:
+        raise ValueError(
+            f"grid {width}x{height} has {width * height} cells, "
+            f"above the supported {TABLE_HEAP_LIMIT}"
+        )
 
 
 def _solve_row(
@@ -199,40 +201,32 @@ def _solve_row(
     return len(row) + 1
 
 
-def two_pile_minimax(
-    ruleset: Ruleset, x1: int, x2: int, memo: dict | None = None
-) -> int:
-    """Independent two-pile oracle: explicit game values by player to move.
+def two_pile_values(ruleset: Ruleset, width: int, height: int) -> tuple[tuple[int, ...], ...]:
+    """Independent two-pile oracle: o(x1, x2) for x1 < width, x2 < height.
 
-    Filled bottom-up, row by row, with one value table per mover, so it
-    shares no code with build_grid and has no recursion to run out of.
-    It reads no mirror cell and fills nothing by period, so the symmetry
-    and the row certificate build_grid relies on are checked here, not
-    assumed.  A caller's memo keeps the tables per ruleset; a larger
-    request fills only the new cells, so a sweep through one memo costs
-    one fill of its final size.
+    Rows are indexed [x2][x1], the shape of GridOutcome.values, and the
+    grids build_grid refuses are refused here too, by the same check,
+    before any row is allocated.  Filled bottom-up, row by row, with one
+    value table per player to move, so it shares no solving code with
+    build_grid and has no recursion to run out of.  It reads no mirror cell and fills nothing by
+    period, so the symmetry and the row certificate build_grid relies on
+    are checked here, not assumed.
 
     The loop has the shape of minimax_values: the pile-2 moves of row b,
     into rows b - s, are collected once per row; on a cell where pile 1
     can move, its least action seeds best and worst, and every other
     move updates them with plain comparisons.
     """
-    if x1 < 0 or x2 < 0:
-        raise ValueError(f"pile sizes must be nonnegative, got ({x1},{x2})")
-    memo = {} if memo is None else memo
-    vp, vn = memo.setdefault(ruleset.actions, ([], []))  # Positive, Negative to move
-    if x2 < len(vp) and x1 < len(vp[0]):
-        return vp[x2][x1]
-    width = max(x1 + 1, len(vp[0]) if vp else 0)
+    _check_grid(width, height)
     acts = ruleset.actions
     lo, rest, m = acts[0], acts[1:], acts[-1]
-    for b in range(max(x2 + 1, len(vp))):
-        if b == len(vp):
-            vp.append([])
-            vn.append([])
-        rp, rn = vp[b], vn[b]
+    vp: list[list[int]] = []  # Positive to move
+    vn: list[list[int]] = []  # Negative to move
+    for b in range(height):
+        rp: list[int] = []
+        rn: list[int] = []
         downs = [(s, vp[b - s], vn[b - s]) for s in acts if s <= b]  # pile-2 moves
-        for a in range(len(rp), width):
+        for a in range(width):
             if a < lo:  # pile 1 has no move
                 rp.append(max([s + n[a] for s, p, n in downs], default=0))
                 rn.append(min([p[a] - s for s, p, n in downs], default=0))
@@ -255,7 +249,9 @@ def two_pile_minimax(
                     worst = down
             rp.append(best)
             rn.append(worst)
-    return vp[x2][x1]
+        vp.append(rp)
+        vn.append(rn)
+    return tuple(map(tuple, vp))
 
 
 def _line_report(

@@ -134,6 +134,11 @@ def sweep_truncated(m_min: int, m_max: int, csv_dir: str | None = None) -> list[
     """Profile every m in [m_min, m_max]; optionally emit one CSV per m.
 
     Each CSV, named tr_{m}.csv, holds rows (a, tr(a)) under the header "a,tr".
+    The proven parts of each theorem check are enforced, not reported:
+    early_all_two or delta_equals_multiplicity false for some m raises
+    TheoremViolationError before that m's CSV is written.  matches_stated
+    is not among them, because the published floor(m/2) is off by one for
+    even m.
     """
     if not 2 <= m_min <= m_max:
         raise ValueError(f"need 2 <= m_min <= m_max, got {m_min}, {m_max}")
@@ -141,6 +146,8 @@ def sweep_truncated(m_min: int, m_max: int, csv_dir: str | None = None) -> list[
     for m in range(m_min, m_max + 1):
         profile = tr_sequence(m)
         theorem = check_duality_theorem(profile).as_dict() if m >= 3 else None
+        if theorem and not (theorem["early_all_two"] and theorem["delta_equals_multiplicity"]):
+            raise TheoremViolationError(f"proven tr structure fails at m={m}: {theorem}")
         conjecture = check_duality_conjecture(profile)
         report = profile.as_dict()
         report["theorem"] = theorem
@@ -158,16 +165,10 @@ def sweep_truncated(m_min: int, m_max: int, csv_dir: str | None = None) -> list[
 def duality_conjecture_report(m_min: int, m_max: int) -> dict:
     """The conjecture verdicts of sweep_truncated in the shared conjecture schema.
 
-    The proven parts of each theorem check are enforced, not reported:
-    early_all_two or delta_equals_multiplicity false for some m raises
-    TheoremViolationError.  matches_stated is not among them, because the
-    published floor(m/2) is off by one for even m.
+    Like sweep_truncated, it raises TheoremViolationError when a proven part
+    of the tr structure fails.
     """
     reports = sweep_truncated(m_min, m_max)
-    for report in reports:
-        theorem = report["theorem"]
-        if theorem and not (theorem["early_all_two"] and theorem["delta_equals_multiplicity"]):
-            raise TheoremViolationError(f"proven tr structure fails at m={report['m']}: {theorem}")
     return conjecture_report(
         conjecture="truncated-duality",
         parameters={"m_min": m_min, "m_max": m_max},

@@ -45,7 +45,7 @@ from cumsub import (
     tr_sequence,
     two_action_opt,
     two_action_outcome,
-    two_pile_minimax,
+    two_pile_values,
 )
 
 # o(x) and opt(x) for S={5,7}, x = 0..55: the 112-value reference table.
@@ -217,11 +217,7 @@ def test_criterion_10_two_pile_properties():
     for x2 in range(5):
         assert grid.values[x2] == single.outcomes, x2
     # Exact agreement with the explicit two-pile game-tree oracle.
-    memo = {}
-    for total in range(31):
-        for x1 in range(total + 1):
-            x2 = total - x1
-            assert grid.outcome(x1, x2) == two_pile_minimax(ruleset, x1, x2, memo)
+    assert grid.values == two_pile_values(ruleset, 300, 300)
     # Line probes: every period found is at most 14 = 2*max S.  Lines whose
     # periodic tail has not entered the evidence window report None; those
     # are logged as candidates, not failures.

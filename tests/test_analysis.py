@@ -114,6 +114,17 @@ class TestConvergencePoint:
         with pytest.raises(TheoremViolationError, match="beyond the convergence bound"):
             convergence_point(rs, forged)
 
+    def test_xi_one_past_bound_is_violation(self):
+        # opt(98) is not 7, so xi = 99, one past the bound 98 for {5,7}: a
+        # violation, not a report with bound_satisfied False.
+        rs = Ruleset((5, 7))
+        real = build_outcome_table(rs, default_x_max(rs))
+        opts = list(real.opts)
+        opts[98] = 5
+        forged = OutcomeTable(rs, real.x_max, real.outcomes, tuple(opts), greedy_from=99)
+        with pytest.raises(TheoremViolationError, match="beyond the convergence bound 98"):
+            convergence_point(rs, forged)
+
     def test_no_certificate_by_default_x_max_is_violation(self):
         # opt is not 7 in the top 2*7 heaps, so no table size certifies xi.
         rs = Ruleset((5, 7))

@@ -27,7 +27,7 @@ from cumsub import (
     diagonal_period,
     export_grid,
     row_period,
-    two_pile_minimax,
+    two_pile_values,
 )
 from cumsub import multipile
 from cumsub.core import TABLE_HEAP_LIMIT
@@ -77,12 +77,7 @@ class TestBuildGrid:
         assert all(grid57.outcome(t, t) == 0 for t in range(120))
 
     def test_matches_two_pile_oracle(self, grid57):
-        memo = {}
-        for total in range(23):
-            for x1 in range(total + 1):
-                x2 = total - x1
-                expected = two_pile_minimax(Ruleset((5, 7)), x1, x2, memo)
-                assert grid57.outcome(x1, x2) == expected, (x1, x2)
+        assert grid57.values == two_pile_values(Ruleset((5, 7)), 120, 120)
 
     @pytest.mark.parametrize("actions", [(5, 7), (2, 3, 5)])
     @pytest.mark.parametrize(
@@ -148,8 +143,8 @@ class TestBuildGrid:
 
     def test_rows_certified_inside_the_mirrored_cells(self):
         # Every row of {1,2,3,5,8} repeats from x1 = 24 = 3 max S on, so
-        # rows above that certify on their mirrored cells alone and are
-        # filled by period without solving a cell.
+        # rows above that carry a full run in from their mirrored cells,
+        # solve one cell and are filled by period.
         _assert_matches_oracle(build_grid(Ruleset((1, 2, 3, 5, 8)), 200, 200))
 
     def test_tall_grid_reads_certified_off_grid_mirrors(self):
@@ -164,18 +159,19 @@ class TestBuildGrid:
         # A certificate that never fires leaves every value right, so only
         # the work shows it.  On {5,7} each row x2 < W - 45 certifies by
         # x1 = x2 + 45 and is filled by period from there.
-        solve, calls = multipile._solve_row, []
-
-        def spy(row, todo, *args):
-            start = solve(row, todo, *args)
-            calls.append((todo[0], start))
-            return start
-
-        monkeypatch.setattr(multipile, "_solve_row", spy)
-        build_grid(Ruleset((5, 7)), 300, 300)
+        calls = _row_solves(monkeypatch, Ruleset((5, 7)), 300, 300)
         rows = [(x2, start) for x2, start in calls if x2 < 255]
         assert len(rows) > 200
         assert all(start <= x2 + 45 for x2, start in rows), max(s - x for x, s in rows)
+
+    def test_rows_certified_inside_the_mirrored_cells_solve_one_cell(self, monkeypatch):
+        # The run a row carries in from its mirrored cells changes no
+        # value, only the work: without it each row x2 >= 3 max S of
+        # {1,2,3,5,8} would solve max S cells before it certifies.
+        calls = _row_solves(monkeypatch, Ruleset((1, 2, 3, 5, 8)), 400, 400)
+        rows = [(x2, start) for x2, start in calls if x2 >= 24]
+        assert [x2 for x2, _ in rows] == list(range(24, 400))
+        assert all(start == x2 + 1 for x2, start in rows), [r for r in rows if r[1] != r[0] + 1][:5]
 
     def test_grid_where_no_row_certifies(self):
         # 3 max S = 123 exceeds the width, so every cell is solved.
@@ -189,46 +185,30 @@ class TestBuildGrid:
 class TestTwoPileOracle:
     def test_single_pile_consistency(self):
         rs = Ruleset((2, 3))
-        table = build_outcome_table(rs, 25)
-        memo = {}
-        for x in range(26):
-            assert two_pile_minimax(rs, x, 0, memo) == table.outcomes[x]
-            assert two_pile_minimax(rs, 0, x, memo) == table.outcomes[x]
-
-    def test_shared_memo_across_rulesets(self):
-        memo = {}
-        two_pile_minimax(Ruleset((1, 2)), 7, 3, memo)
-        expected = build_grid(Ruleset((2, 3)), 8, 4).outcome(7, 3)
-        assert expected == 2
-        assert two_pile_minimax(Ruleset((2, 3)), 7, 3, memo) == expected
+        outcomes = build_outcome_table(rs, 25).outcomes
+        values = two_pile_values(rs, 26, 26)
+        assert values[0] == outcomes
+        assert tuple(row[0] for row in values) == outcomes
 
     def test_large_piles_match_grid(self):
         # Depth-first search ran out of recursion here.
         rs = Ruleset((1, 2))
-        grid = build_grid(rs, 601, 601)
-        memo = {}
-        for x1, x2 in ((600, 600), (600, 599), (37, 598), (599, 0)):
-            assert two_pile_minimax(rs, x1, x2, memo) == grid.outcome(x1, x2), (x1, x2)
-
-    def test_memo_grows_in_place(self):
-        # A larger request extends the cached rows instead of rebuilding
-        # them, so a sweep through one memo fills each cell once.
-        rs = Ruleset((2, 3))
-        memo = {}
-        two_pile_minimax(rs, 10, 10, memo)
-        rows = memo[rs.actions][0]
-        first = rows[0]
-        assert two_pile_minimax(rs, 40, 25, memo) == build_grid(rs, 41, 26).outcome(40, 25)
-        assert memo[rs.actions][0] is rows and rows[0] is first
-        assert len(rows) == 26 and all(len(row) == 41 for row in rows)
+        assert two_pile_values(rs, 601, 601) == build_grid(rs, 601, 601).values
 
     def test_terminal(self):
-        assert two_pile_minimax(Ruleset((5, 7)), 0, 0) == 0
-        assert two_pile_minimax(Ruleset((5, 7)), 4, 4) == 0
+        assert two_pile_values(Ruleset((5, 7)), 1, 1) == ((0,),)
+        assert two_pile_values(Ruleset((5, 7)), 5, 5) == ((0,) * 5,) * 5
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            two_pile_minimax(Ruleset((5, 7)), -1, 3)
+        for width, height in ((-1, 3), (3, -1), (0, 3), (3, 0)):
+            with pytest.raises(ValueError, match="at least 1x1"):
+                two_pile_values(Ruleset((5, 7)), width, height)
+
+    def test_rejects_grid_above_cell_limit(self):
+        # Refused before any row is allocated, so this costs nothing.
+        for width, height in ((100_000, 100_000), (TABLE_HEAP_LIMIT, 1), (1, TABLE_HEAP_LIMIT)):
+            with pytest.raises(ValueError, match="above the supported"):
+                two_pile_values(Ruleset((5, 7)), width, height)
 
 
 class TestLineProbes:
@@ -420,12 +400,22 @@ class TestExports:
             export_grid(grid23, "csv", str(tmp_path / "no" / "such" / "dir.csv"))
 
 
+def _row_solves(monkeypatch, ruleset, width, height):
+    """(first solved x1, returned start) of each _solve_row call of one build."""
+    solve, calls = multipile._solve_row, []
+
+    def spy(row, todo, *args):
+        start = solve(row, todo, *args)
+        calls.append((todo[0], start))
+        return start
+
+    monkeypatch.setattr(multipile, "_solve_row", spy)
+    build_grid(ruleset, width, height)
+    return calls
+
+
 def _assert_matches_oracle(grid):
-    memo = {}
-    for x2 in range(grid.height):
-        for x1 in range(grid.width):
-            expected = two_pile_minimax(grid.ruleset, x1, x2, memo)
-            assert grid.values[x2][x1] == expected, (x1, x2)
+    assert grid.values == two_pile_values(grid.ruleset, grid.width, grid.height)
 
 
 def _reference_export(grid, fmt):

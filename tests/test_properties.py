@@ -30,7 +30,7 @@ from cumsub import (
     minimax_values,
     row_period,
     two_action_opt,
-    two_pile_minimax,
+    two_pile_values,
     two_action_outcome,
 )
 from cumsub.analysis import _trace_summaries
@@ -298,14 +298,10 @@ def test_grid_matches_two_pile_oracle(shape):
     # bug would show.
     rs, width, height = shape
     grid = build_grid(rs, width, height)
-    memo = {}
-    for x2 in range(height):
-        for x1 in range(width):
-            v = grid.values[x2][x1]
-            assert type(v) is int, (x1, x2)
-            assert v == two_pile_minimax(rs, x1, x2, memo), (x1, x2)
+    assert all(type(v) is int for row in grid.values for v in row)
+    assert grid.values == two_pile_values(rs, width, height)
     # build_grid copies mirrored cells, so this loop checks the builder
-    # against itself; the oracle loop above is the independent check.
+    # against itself; the oracle equality above is the independent check.
     for x2 in range(min(width, height)):
         for x1 in range(x2):
             assert grid.values[x2][x1] == grid.values[x1][x2], (x1, x2)
@@ -323,15 +319,11 @@ certifying_grids = st.tuples(sized_action_sets(8), st.integers(24, 160), st.inte
 @example((Ruleset((1, 2, 3, 5, 8)), 60, 160))
 def test_certified_grid_rows_match_two_pile_oracle(shape):
     # Sides from 3 max S (the least start of a certified row) to 160: most
-    # rows certify, many on their mirrored cells alone, and a tall grid
-    # reads certified off-grid mirrors, so the oracle checks every cell
-    # filled by period.
+    # rows certify, many with a run carried in from their mirrored cells,
+    # and a tall grid reads certified off-grid mirrors, so the oracle
+    # checks every cell filled by period.
     rs, width, height = shape
-    grid = build_grid(rs, width, height)
-    memo = {}
-    for x2 in range(height):
-        for x1 in range(width):
-            assert grid.values[x2][x1] == two_pile_minimax(rs, x1, x2, memo), (x1, x2)
+    assert build_grid(rs, width, height).values == two_pile_values(rs, width, height)
 
 
 def _game_tree_value(rs, piles, positive, memo):
@@ -380,12 +372,12 @@ def test_minimax_values_match_game_tree_search(rs):
 @given(oracle_rulesets)
 @example(Ruleset((1, 2)))
 @example(Ruleset((5, 6, 7)))
-def test_two_pile_minimax_matches_game_tree_search(rs):
-    tree, oracle = {}, {}
-    for x2 in range(13):
-        for x1 in range(13):
-            expected = _game_tree_value(rs, (x1, x2), True, tree)
-            assert two_pile_minimax(rs, x1, x2, oracle) == expected, (x1, x2)
+def test_two_pile_values_match_game_tree_search(rs):
+    tree = {}
+    expected = tuple(
+        tuple(_game_tree_value(rs, (x1, x2), True, tree) for x1 in range(13)) for x2 in range(13)
+    )
+    assert two_pile_values(rs, 13, 13) == expected
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -415,7 +407,7 @@ def test_oracles_share_no_code_with_the_builders():
         "build_outcome_table", "_table_generic", "_table_contiguous", "greedy_from",
         "build_grid", "_solve_row",
     }
-    for oracle in (core.minimax_values, multipile.two_pile_minimax):
+    for oracle in (core.minimax_values, multipile.two_pile_values):
         names = _names_used(oracle.__code__)
         assert names, oracle
         assert not names & builders, (oracle.__name__, names & builders)

@@ -150,9 +150,10 @@ class TestDualityConjecture:
         assert report["counterexamples"] == []
 
     @pytest.mark.parametrize("field", ["early_all_two", "delta_equals_multiplicity"])
-    def test_report_raises_on_theorem_violation(self, monkeypatch, capsys, field):
+    def test_report_raises_on_theorem_violation(self, monkeypatch, capsys, tmp_path, field):
         # A proven part failing at one m is a solver bug: the report must
-        # raise, and the CLI exit 3 with nothing on stdout.
+        # raise, and the CLI exit 3 with nothing on stdout.  trunc raises
+        # before it writes that m's CSV.
         check = truncated.check_duality_theorem
 
         def broken(profile):
@@ -165,6 +166,10 @@ class TestDualityConjecture:
         assert main(["scan", "duality", "--m-min", "2", "--m-max", "10"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("theorem violation: proven tr structure fails at m=7")
+        assert main(["trunc", "2", "8", "--json", "--csv-dir", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("theorem violation: proven tr structure fails at m=7")
+        assert (tmp_path / "tr_6.csv").exists() and not (tmp_path / "tr_7.csv").exists()
 
     def test_report_rejects_empty_range(self):
         # The report shares sweep_truncated's range check: no "holds" over
