@@ -253,24 +253,14 @@ def conjecture_report(
     parameters: dict,
     swept_space: dict,
     counterexamples: list[dict],
-    decisive: bool = True,
 ) -> dict:
-    """Uniform JSON shape for every conjecture/observation sweep.
-
-    decisive=False marks sweeps whose failures are window-limited
-    observations (e.g. a period not yet visible on a finite grid line)
-    rather than outright refutations.
-    """
-    if not counterexamples:
-        verdict = "holds"
-    else:
-        verdict = "falsified" if decisive else "candidate-counterexamples"
+    """Uniform JSON shape for every conjecture/observation sweep."""
     return {
         "conjecture": conjecture,
         "parameters": parameters,
         "swept_space": swept_space,
         "counterexamples": counterexamples,
-        "verdict": verdict,
+        "verdict": "falsified" if counterexamples else "holds",
     }
 
 

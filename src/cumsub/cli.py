@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", help="write grid values as CSV")
     s.add_argument("--pgm", help="write grayscale image")
     s.add_argument("--ppm", help="write blue-to-red image")
-    s.add_argument("--periods", action="store_true", help="probe line periodicity")
+    s.add_argument("--periods", action="store_true", help="certified line periods")
     s.add_argument("--max-diag", type=int, default=50)
     s.set_defaults(func=cmd_grid)
 

@@ -1,11 +1,11 @@
-"""Two-pile play: outcome grids, periodicity probes, CSV/image export.
+"""Two-pile play: outcome grids, certified line periods, CSV/image export.
 
 With two heaps, a move removes s pebbles from exactly one heap (s from
 the shared action set), and the game ends only when neither heap admits
 a move.  o(x1, x2) is defined by the same sign-flip recursion as the
 single-pile game, maximized over both piles.  No closed form is known;
-this module computes grids exactly and probes rows, columns, and
-diagonals for eventual periodicity to feed the open conjectures.
+this module computes grids exactly and certifies the eventual period of
+every row, column and diagonal of the infinite grid.
 
 Grids are filled row by row.  A move lowers one pile, so cell (x1, x2)
 reads only cells to its left in its own row and cells of its column in
@@ -20,16 +20,24 @@ the piles maps each move of one position onto a move of the other with
 the same s, and the recursion carries the equality up from the terminal
 cells.  So a row copies its cells left of the main diagonal from the
 rows below, a tall grid reads its rows past the width from the periodic
-tails of certified rows, and a column reads the matching row.
+tails of certified rows, and a column is the matching row.
+
+A second certificate covers the whole plane: with m = max S, once the
+certified rows show o(x1 + m, x2 + m) = o(x1, x2) on a band of m rows
+from some T on, the shift holds for all x1, x2 >= T.  build_grid then
+copies every later row instead of solving it, and the certificate gives
+any cell of the infinite grid, from which the line reports read each
+line's least period and least start.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from operator import getitem, itemgetter
+from math import isqrt
+from operator import itemgetter
 
 from .analysis import conjecture_report
 from .core import TABLE_HEAP_LIMIT, Report, Ruleset
@@ -38,16 +46,60 @@ _CSV_ENCODING = "ascii"
 
 
 @dataclass(frozen=True)
+class ShiftCertificate:
+    """o(x1 + m, x2 + m) = o(x1, x2) for all x1, x2 >= start, with m = max S.
+
+    rows[x2] is row x2 for x2 < start + m, stored at least up to
+    row_starts[x2], from which on the row repeats with period 2m.  With the
+    shift and the symmetry of o they give every cell of the infinite grid.
+    build_grid holds the proof.
+    """
+
+    m: int
+    start: int
+    rows: tuple[tuple[int, ...], ...]
+    row_starts: tuple[int, ...]
+
+    def cell(self, x1: int, x2: int) -> int:
+        """o(x1, x2) for any x1, x2 >= 0."""
+        lo, hi = (x1, x2) if x1 <= x2 else (x2, x1)
+        if lo >= self.start:  # shift down to a stored row
+            k = (lo - self.start) // self.m * self.m
+            lo, hi = lo - k, hi - k
+        a, lag = self.row_starts[lo], 2 * self.m
+        if hi >= a:
+            hi = a - lag + (hi - a) % lag
+        return self.rows[lo][hi]
+
+    def row_start(self, x2: int) -> int:
+        """An X from which row x2 repeats with period 2m; not always the least.
+
+        Above the stored rows, let k be the multiple of m that puts
+        y = x2 - k in [start, start + m).  Cell (x1, x2) is cell (x1 - k, y)
+        whenever x1 - k >= start, so row x2 repeats where row y does and
+        both x1 - k and x1 - k - 2m are at least start: from
+        k + max(row_starts[y], start + 2m) on.
+        """
+        if x2 < self.start + self.m:
+            return self.row_starts[x2]
+        k = (x2 - self.start) // self.m * self.m
+        return k + max(self.row_starts[x2 - k], self.start + 2 * self.m)
+
+
+@dataclass(frozen=True)
 class GridOutcome:
     """Outcomes o(x1, x2) for 0 <= x1 < width, 0 <= x2 < height.
 
-    values is indexed values[x2][x1]: one row per second-pile size.
+    values is indexed values[x2][x1]: one row per second-pile size.  shift
+    is the diagonal-shift certificate build_grid found in the grid's own
+    rows, or None.
     """
 
     ruleset: Ruleset
     width: int
     height: int
     values: tuple[tuple[int, ...], ...]
+    shift: ShiftCertificate | None = field(default=None, compare=False, repr=False)
 
     def outcome(self, x1: int, x2: int) -> int:
         if not (0 <= x1 < self.width and 0 <= x2 < self.height):
@@ -61,23 +113,32 @@ class GridOutcome:
         """The distinct outcomes in the grid, scanned once per grid."""
         return frozenset().union(*self.values)
 
+    @cached_property
+    def certificate(self) -> ShiftCertificate:
+        """The grid's own shift certificate, or one found on a square of its own.
+
+        The square is solved only as far as the certificate needs, and
+        its side doubles from 8 max S up to the largest square under
+        TABLE_HEAP_LIMIT cells; past that, ValueError.  Either certificate
+        proves the same facts, so what is read from it does not depend on
+        the grid's shape.
+        """
+        return self.shift or _certify_shift(self.ruleset)
+
 
 @dataclass(frozen=True)
 class LinePeriodReport(Report):
-    """Eventual-period probe along one grid line.
+    """Certified least period and least start of one line of the infinite grid.
 
-    The verdict is windowed: period is None when no candidate holds over
-    the evidence window, the last third of the line, which must span at
-    least two full periods.  tail_start and verified_up_to are the first
-    and last t of that window.  For rows index is x2, for columns x1, for
-    diagonals the offset k of the line (t, t+k).
+    For rows index is x2, for columns x1, for diagonals the offset k of the
+    line (t, t+k).  The line repeats with period from tail_start on, and
+    from no earlier t; for diagonals tail_start is in t.
     """
 
     kind: str
     index: int
-    period: int | None
+    period: int
     tail_start: int
-    verified_up_to: int
 
 
 def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
@@ -89,10 +150,11 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     with no move at all (both piles below min S) are 0.  In row x2 < W the
     cells x1 < x2 copy their mirrors (x2, x1) from the rows below; the
     rest are solved until the row is certified periodic, and the cells
-    after that are filled by period.
+    after that are filled by period.  Once the shift certificate below
+    fires, no later row is solved.
 
-    The certificate.  Let m = max S.  Row x2 repeats with period 2m from
-    X on, over the whole infinite row, when
+    The row certificate.  Let m = max S.  Row x2 repeats with period 2m
+    from X on, over the whole infinite row, when
       (a) the m cells X - m .. X - 1 equal the cells 2m to their left,
       (b) X >= 3m, and
       (c) X >= the start of every row x2 - s, s in S, s <= x2.
@@ -111,14 +173,57 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     (c).  A row that never certifies gets start W + 1, so no row above it
     certifies through it.
 
+    The shift certificate.  Let T >= m, and suppose that for every x2 in
+    [T, T + m) rows x2 and x2 + m are certified, with starts a and b, and
+    o(x1 + m, x2 + m) = o(x1, x2) for x1 in [T, max(a, b - m) + 2m).  Then
+    o(x1 + m, x2 + m) = o(x1, x2) for all x1, x2 >= T.  Proof.  From
+    c = max(a, b - m) > T on, both sides repeat with period 2m in x1, and
+    [T, c + 2m) holds a whole period of them, so they agree on every
+    x1 >= T.  By symmetry the same holds with x1 and x2 swapped, which
+    covers every cell with min(x1, x2) in [T, T + m).  The other cells,
+    both coordinates at least T + m >= 2m, play every action on both
+    piles, and so do their twins shifted by m; a cell reads only cells
+    with both coordinates at least T, whose twins its twin reads, and
+    these agree by induction on x1 + x2.  Every row y < T is certified
+    too: y plus some multiple of min S lies in [T, T + m), and by (c) a
+    row is certified only above certified rows.  After each solved row
+    x2, T = x2 - 2m + 1 is tried.  By (c) with s = m, no row starts
+    before row x2 - m does, and the check needs b <= W - 2m for every row
+    of [T + m, T + 2m); so once a row starts past W - 2m, no later T can
+    fire, since each band holds that row or one a multiple of m above it.
+
+    Once it fires, row x2 >= T + 2m is two copies: its cells x1 < T + m
+    are their mirrors, and its cells x1 >= T + m are row x2 - m shifted
+    right by m.  (Cells T <= x1 < T + m are not shifts: their twins
+    (x1 - m, x2 - m) have a coordinate below T.)
+
     A tall grid's rows x2 >= W have every mirror (x2, x1) off the grid.
     When row x1 is certified, that mirror is its tail, read at the cell of
-    the last 2m congruent to x2; the other cells are solved, and these
-    rows are not certified themselves.  Rows are stored to width W only,
-    so memory stays proportional to the grid whatever max S is.
+    the last 2m congruent to x2.  Without the shift the other cells are
+    solved, and these rows are not certified themselves.  Rows are stored
+    to width W only, so memory stays proportional to the grid whatever
+    max S is.
     """
     _check_grid(width, height)
-    acts = ruleset.actions
+    rows, shift = _solve_rows(ruleset.actions, width, height)
+    if shift is not None:  # every later row is a copy
+        m, lag, t = shift.m, 2 * shift.m, shift.start
+        for x2 in range(len(rows), height):
+            # x2 >= W: the mirror is in the last 2m cells of a certified row
+            j = x2 if x2 < width else width - lag + (x2 - width) % lag
+            rows.append(tuple(map(itemgetter(j), shift.rows)) + rows[x2 - m][t:width - m])
+    return GridOutcome(ruleset, width, height, tuple(rows), shift)
+
+
+def _solve_rows(
+    acts: tuple, width: int, height: int, certify_only: bool = False
+) -> tuple[list, ShiftCertificate | None]:
+    """Rows x2 < height of a grid, solved until the shift certificate fires.
+
+    Returns the rows solved and the certificate, or every row and None.
+    With certify_only, it returns the rows so far and None as soon as a
+    row starts past W - 2 max S, from where no certificate can fire.
+    """
     m = acts[-1]
     lag, never = 2 * m, width + 1
     # Pile-1 actions past the least one that x1 < max S can play.
@@ -138,6 +243,11 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
             row[start:] = (row[start - lag:start] * (rem // lag + 1))[:rem]
         rows.append(tuple(row))
         starts.append(start)
+        t = x2 - lag + 1
+        if t >= m and _shift_holds(rows, starts, t, m, width):
+            return rows, ShiftCertificate(m, t, tuple(rows[:t + m]), tuple(starts[:t + m]))
+        if certify_only and start > width - lag:
+            return rows, None
     if height > width:  # rows x2 >= W: mirrors off the grid
         blank = (None,) * width
         tails = [r if x <= width else blank for r, x in zip(rows, starts)]
@@ -148,7 +258,37 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
             row = list(map(itemgetter(phase), tails))
             _solve_row(row, todo, rows, acts, playable, never, 0)
             rows.append(tuple(row))
-    return GridOutcome(ruleset=ruleset, width=width, height=height, values=tuple(rows))
+    return rows, None
+
+
+def _shift_holds(rows: list, starts: list, t: int, m: int, width: int) -> bool:
+    """The shift certificate of build_grid with T = t, on rows t .. t + 2m - 1."""
+    for y in range(t + m - 1, t - 1, -1):
+        end = max(starts[y], starts[y + m] - m) + 2 * m
+        # An uncertified row has start W + 1, which puts end + m past the width.
+        if end + m > width or rows[y][t:end] != rows[y + m][t + m:end + m]:
+            return False
+    return True
+
+
+def _certify_shift(ruleset: Ruleset) -> ShiftCertificate:
+    """The shift certificate found on squares doubling from 8 max S.
+
+    Each square is solved only until its certificate fires or can no
+    longer fire.
+    """
+    cap = isqrt(TABLE_HEAP_LIMIT - 1)
+    side = min(8 * ruleset.max_action, cap)
+    while True:
+        shift = _solve_rows(ruleset.actions, side, side, certify_only=True)[1]
+        if shift is not None:
+            return shift
+        if side == cap:
+            raise ValueError(
+                f"no two-pile shift certificate for {ruleset} on a square grid "
+                f"under the supported {TABLE_HEAP_LIMIT} cells"
+            )
+        side = min(2 * side, cap)
 
 
 def _check_grid(width: int, height: int) -> None:
@@ -208,9 +348,10 @@ def two_pile_values(ruleset: Ruleset, width: int, height: int) -> tuple[tuple[in
     grids build_grid refuses are refused here too, by the same check,
     before any row is allocated.  Filled bottom-up, row by row, with one
     value table per player to move, so it shares no solving code with
-    build_grid and has no recursion to run out of.  It reads no mirror cell and fills nothing by
-    period, so the symmetry and the row certificate build_grid relies on
-    are checked here, not assumed.
+    build_grid and has no recursion to run out of.  It reads no mirror
+    cell and fills or copies nothing by period or shift, so the symmetry
+    and the row and shift certificates build_grid relies on are checked
+    here, not assumed.
 
     The loop has the shape of minimax_values: the pile-2 moves of row b,
     into rows b - s, are collected once per row; on a cell where pile 1
@@ -254,61 +395,68 @@ def two_pile_values(ruleset: Ruleset, width: int, height: int) -> tuple[tuple[in
     return tuple(map(tuple, vp))
 
 
-def _line_report(
-    kind: str, index: int, line: Sequence[int], p_max: int, t0: int = 0
-) -> LinePeriodReport:
-    """Minimal period on the last-third tail of a line starting at t = t0.
-
-    A period p <= p_max counts only when the tail spans at least two of it.
-    """
-    n = len(line)
-    tail = (2 * n) // 3
-    period = None
-    for p in range(1, min(p_max, (n - tail) // 2) + 1):
-        if line[tail:n - p] == line[tail + p:]:
-            period = p
-            break
-    return LinePeriodReport(kind, index, period, t0 + tail, t0 + n - 1)
-
-
 def row_period(grid: GridOutcome, x2: int) -> LinePeriodReport:
-    """Probe row x2 for an eventual period p <= 2*max S."""
+    """Least period (a divisor of 2*max S) and least start of row x2."""
     if not 0 <= x2 < grid.height:
         raise ValueError(f"row {x2} outside grid height {grid.height}")
-    m = grid.ruleset.max_action
-    if grid.width < 6 * m:
-        raise ValueError(f"row too short: need width >= {6 * m}, got {grid.width}")
-    return _line_report("row", x2, grid.values[x2], 2 * m)
+    return _row_report(grid, "row", x2)
 
 
 def column_period(grid: GridOutcome, x1: int) -> LinePeriodReport:
-    """Probe column x1 for an eventual period p <= 2*max S.
+    """Least period (a divisor of 2*max S) and least start of column x1.
 
-    By symmetry, column x1 < H of a grid with H <= W is row x1 cut to the
-    height; other columns are gathered cell by cell.
+    By symmetry column x1 is row x1.
     """
     if not 0 <= x1 < grid.width:
         raise ValueError(f"column {x1} outside grid width {grid.width}")
-    m = grid.ruleset.max_action
-    if grid.height < 6 * m:
-        raise ValueError(f"column too short: need height >= {6 * m}, got {grid.height}")
-    if x1 < grid.height <= grid.width:  # o(x1, x2) = o(x2, x1): the column is row x1
-        column = grid.values[x1][:grid.height]
-    else:
-        column = list(map(itemgetter(x1), grid.values))
-    return _line_report("column", x1, column, 2 * m)
+    return _row_report(grid, "column", x1)
+
+
+def _row_report(grid: GridOutcome, kind: str, r: int) -> LinePeriodReport:
+    """Report on row r of the infinite grid, read from the grid where it has the cells."""
+    cert = grid.certificate
+    end = cert.row_start(r)
+    # Row r is on the grid up to the width, or else column r is, up to the height.
+    line = grid.values[r] if r < grid.height else tuple(map(itemgetter(r), grid.values))
+    if len(line) < end:  # the rest from the certificate
+        line = [*line, *(cert.cell(x1, r) for x1 in range(len(line), end))]
+    period, start = _least_period_and_start(line, end, 2 * cert.m)
+    return LinePeriodReport(kind, r, period, start)
 
 
 def diagonal_period(grid: GridOutcome, k: int) -> LinePeriodReport:
-    """Probe the diagonal (t, t+k) for an eventual period p <= 4*max S."""
-    t0, t1 = max(0, -k), min(grid.width, grid.height - k)
-    line = list(map(getitem, grid.values[t0 + k:t1 + k], range(t0, t1)))
-    m = grid.ruleset.max_action
-    if len(line) < 6 * m:
-        raise ValueError(
-            f"diagonal k={k} too short: need >= {6 * m} points, got {len(line)}"
-        )
-    return _line_report("diagonal", k, line, 4 * m, t0)
+    """Least period (a divisor of max S) and least start of the diagonal (t, t+k).
+
+    From t >= max(T, T - k) on, both coordinates are at least the shift
+    certificate's T, so the diagonal repeats with period max S there.
+    """
+    if not -grid.width < k < grid.height:
+        raise ValueError(f"diagonal k={k} outside grid {grid.width}x{grid.height}")
+    cert = grid.certificate
+    t0 = max(0, -k)
+    end = max(cert.start, cert.start - k) + cert.m
+    line = [cert.cell(t, t + k) for t in range(t0, end)]
+    period, start = _least_period_and_start(line, end - t0, cert.m)
+    return LinePeriodReport("diagonal", k, period, t0 + start)
+
+
+def _least_period_and_start(line: Sequence[int], end: int, lag: int) -> tuple[int, int]:
+    """Least period and least start of a line with line[t] = line[t + lag] for t >= end - lag.
+
+    line holds at least t < end.  The least period divides lag.  The least
+    start is found by walking back from end - lag: a step that still
+    repeats is taken and doubles the next, one that does not halves it.
+    """
+    window = line[end - lag:end]
+    period = next(p for p in range(1, lag + 1) if lag % p == 0 and window[p:] == window[:lag - p])
+    t, step = end - lag, lag
+    while step:
+        if t >= step and line[t - step:t] == line[t - step + period:t + period]:
+            t -= step
+            step *= 2
+        else:
+            step //= 2
+    return period, t
 
 
 def _write_pnm(grid: GridOutcome, path: str, color: bool) -> None:
@@ -349,31 +497,30 @@ def export_grid(grid: GridOutcome, fmt: str, path: str) -> None:
 
 
 def periodicity_reports(grid: GridOutcome, max_diag: int = 50) -> dict:
-    """Row/column and diagonal period sweeps in the shared conjecture schema."""
+    """Row/column and diagonal period sweeps in the shared conjecture schema.
+
+    Every line's period is certified to divide its cap, so a
+    counterexample, a period above the cap, would mean a broken certificate.
+    """
     if max_diag < 0:
         raise ValueError(f"max_diag must be nonnegative, got {max_diag}")
     line_reports = [row_period(grid, x2) for x2 in range(grid.height)]
     line_reports += [column_period(grid, x1) for x1 in range(grid.width)]
-    m = grid.ruleset.max_action
-    diag_reports = []
     # Only -(W-1) <= k <= H-1 names a diagonal of the grid.
-    for k in range(max(-max_diag, 1 - grid.width), min(max_diag, grid.height - 1) + 1):
-        length = min(grid.width, grid.height - k) - max(0, -k)
-        if length >= 6 * m:
-            diag_reports.append(diagonal_period(grid, k))
+    ks = range(max(-max_diag, 1 - grid.width), min(max_diag, grid.height - 1) + 1)
+    diag_reports = [diagonal_period(grid, k) for k in ks]
+    m = grid.ruleset.max_action
     shape = {"ruleset": list(grid.ruleset.actions), "width": grid.width, "height": grid.height}
     lines = conjecture_report(
         conjecture="two-pile-line-periodicity",
         parameters={**shape, "period_cap": 2 * m},
         swept_space={"rows": grid.height, "columns": grid.width},
-        counterexamples=[r.as_dict() for r in line_reports if r.period is None],
-        decisive=False,
+        counterexamples=[r.as_dict() for r in line_reports if r.period > 2 * m],
     )
     diagonals = conjecture_report(
         conjecture="two-pile-diagonal-periodicity",
-        parameters={**shape, "period_cap": 4 * m, "max_diag": max_diag},
+        parameters={**shape, "period_cap": m, "max_diag": max_diag},
         swept_space={"diagonals": len(diag_reports)},
-        counterexamples=[r.as_dict() for r in diag_reports if r.period is None],
-        decisive=False,
+        counterexamples=[r.as_dict() for r in diag_reports if r.period > m],
     )
     return {"lines": lines, "diagonals": diagonals}

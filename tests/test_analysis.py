@@ -390,10 +390,6 @@ class TestConjectureReports:
         report = conjecture_report("demo", {}, {}, [{"x": 1}])
         assert report["verdict"] == "falsified"
 
-    def test_candidate_verdict_when_not_decisive(self):
-        report = conjecture_report("demo", {}, {}, [{"x": 1}], decisive=False)
-        assert report["verdict"] == "candidate-counterexamples"
-
     def test_observation_sweep_last_move(self):
         report = observation_sweep_report("last-move", 8, 100)
         assert report["verdict"] == "holds"

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from cumsub import Ruleset, build_grid
+from cumsub import Ruleset, build_grid, multipile
 from cumsub.cli import main, parse_ruleset
 
 
@@ -256,7 +256,7 @@ class TestGrid:
         )
         assert code == 0
         periods = json.loads(out)["periods"]
-        assert periods["lines"]["verdict"] == "candidate-counterexamples"
+        assert (periods["lines"]["verdict"], periods["lines"]["counterexamples"]) == ("holds", [])
         assert periods["diagonals"]["verdict"] == "holds"
 
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
@@ -272,17 +272,23 @@ class TestGrid:
         code, _, _ = run(capsys, ["grid", "-S", "5,7", "-W", "0", "-H", "10"])
         assert code == 2
 
-    def test_period_usage_error_writes_no_export(self, capsys, tmp_path):
-        # Row periods need width >= 6*max S; the probe fails before any export.
+    def test_period_usage_error_writes_no_export(self, capsys, tmp_path, monkeypatch):
+        # A 20x20 grid holds no shift certificate of its own, and {5,7}
+        # certifies on no square below 99 cells a side; with squares capped
+        # at 70, --periods refuses before any export is written.
         path = tmp_path / "g.csv"
-        code, out, err = run(
-            capsys,
-            ["grid", "-S", "5,7", "-W", "20", "-H", "20", "--periods", "--csv", str(path)],
-        )
+        argv = ["grid", "-S", "5,7", "-W", "20", "-H", "20", "--periods", "--csv", str(path)]
+        monkeypatch.setattr(multipile, "TABLE_HEAP_LIMIT", 5000)
+        code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
-        assert "row too short" in err
+        assert "no two-pile shift certificate for {5,7}" in err
         assert not path.exists()
+        monkeypatch.undo()
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "lines: holds (0 counterexamples)" in out
+        assert path.exists()
 
     def test_negative_max_diag_is_usage_error(self, capsys, tmp_path):
         # No diagonal is swept, so a "holds" verdict would hold over nothing.
@@ -353,6 +359,7 @@ class TestScan:
         assert code == 0
         report = json.loads(out)
         assert set(report) == {"lines", "diagonals"}
+        assert report["lines"]["verdict"] == "holds"
         assert report["diagonals"]["verdict"] == "holds"
 
     @pytest.mark.parametrize("argv", [

@@ -1,14 +1,13 @@
-"""Tests for two-pile grids, periodicity probes, and grid export.
+"""Tests for two-pile grids, the shift certificate, line reports, and grid export.
 
 Grid ground truth: o(x1, x2) is symmetric, bounded by 0..max S, and any
 row with x2 < min S is a dead pile, so it must reproduce the single-pile
-table exactly.  Probe ground truth on the 120x120 grid for S={5,7}: row
-and column 12 have eventual period 14, the main diagonal is identically
-0 (mirror play), and the offset diagonals k=3 and k=-10 settle to
-period 7.  Line probes near the far edge legitimately find nothing
-because periodicity sets in only around x2 + 10, which falls inside the
-evidence window there; those lines are reported as candidates, never
-asserted to be aperiodic.
+table exactly.  Line ground truth for S={5,7}: row and column 12 have
+least period 14 from x1 = 35 on, the main diagonal is identically 0
+(mirror play), and the offset diagonals k=3 and k=-10 settle to period
+7.  Every report is also checked against whole grids from the
+independent two-pile oracle, and must not depend on the grid it was
+asked about.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from cumsub import (
 )
 from cumsub import multipile
 from cumsub.core import TABLE_HEAP_LIMIT
-from cumsub.multipile import periodicity_reports
+from cumsub.multipile import _certify_shift, periodicity_reports
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +148,8 @@ class TestBuildGrid:
 
     def test_tall_grid_reads_certified_off_grid_mirrors(self):
         # Rows x2 >= 60 take the cells of the certified rows x1 from their
-        # periodic tails at x2, and solve the others.
+        # periodic tails at x2, and solve the others: a width of 60 is too
+        # narrow for the shift certificate of {5,7}.
         rs = Ruleset((5, 7))
         tall = build_grid(rs, 60, 400)
         _assert_matches_oracle(tall)
@@ -157,20 +157,21 @@ class TestBuildGrid:
 
     def test_rows_stop_solving_near_the_main_diagonal(self, monkeypatch):
         # A certificate that never fires leaves every value right, so only
-        # the work shows it.  On {5,7} each row x2 < W - 45 certifies by
-        # x1 = x2 + 45 and is filled by period from there.
+        # the work shows it.  On {5,7} each row certifies by x1 = x2 + 45
+        # and is filled by period from there; rows past x2 = 48 are copies
+        # (TestShiftCertificate).
         calls = _row_solves(monkeypatch, Ruleset((5, 7)), 300, 300)
-        rows = [(x2, start) for x2, start in calls if x2 < 255]
-        assert len(rows) > 200
-        assert all(start <= x2 + 45 for x2, start in rows), max(s - x for x, s in rows)
+        assert [x2 for x2, _ in calls] == list(range(49))
+        assert all(start <= x2 + 45 for x2, start in calls), max(s - x for x, s in calls)
 
     def test_rows_certified_inside_the_mirrored_cells_solve_one_cell(self, monkeypatch):
         # The run a row carries in from its mirrored cells changes no
         # value, only the work: without it each row x2 >= 3 max S of
-        # {1,2,3,5,8} would solve max S cells before it certifies.
-        calls = _row_solves(monkeypatch, Ruleset((1, 2, 3, 5, 8)), 400, 400)
+        # {1,2,3,5,8} would solve max S cells before it certifies.  At width
+        # 47 the shift certificate cannot fire, so every row is solved.
+        calls = _row_solves(monkeypatch, Ruleset((1, 2, 3, 5, 8)), 47, 47)
         rows = [(x2, start) for x2, start in calls if x2 >= 24]
-        assert [x2 for x2, _ in rows] == list(range(24, 400))
+        assert [x2 for x2, _ in rows] == list(range(24, 47))
         assert all(start == x2 + 1 for x2, start in rows), [r for r in rows if r[1] != r[0] + 1][:5]
 
     def test_grid_where_no_row_certifies(self):
@@ -180,6 +181,122 @@ class TestBuildGrid:
     def test_value_set(self, grid23):
         assert grid23.value_set == {v for row in grid23.values for v in row}
         assert grid23.value_set is grid23.value_set
+
+
+class TestShiftCertificate:
+    @pytest.mark.parametrize(
+        "actions, start",
+        [((5, 7), 35), ((2, 3, 5), 7), ((1, 2, 3, 5, 8), 8), ((4, 9, 11), 99),
+         ((9, 10), 152), ((3, 50, 90), 270)],
+    )
+    def test_shift_start(self, actions, start):
+        # The least T from which the shift holds over large windows of
+        # the grid, so the certificate fires as early as it can.
+        shift = _certify_shift(Ruleset(actions))
+        assert (shift.m, shift.start) == (actions[-1], start)
+
+    def test_shift_check_compares_each_pair_past_both_starts(self):
+        # Forged rows for m = 2, T = 2, width 40: rows 2 and 3 are zero and
+        # start at 4, rows 4 and 5 start at 20.  Each pair (y, y + 2) must
+        # agree on x1 in [2, max(4, 20 - 2) + 4) = [2, 22); one cell at
+        # x1 = 21 that differs, in either pair, or a row past the width
+        # must stop the certificate.
+        def holds(bad_row=None, bad_x1=None, b=20):
+            rows = [(0,) * 40 for _ in range(6)]
+            if bad_row is not None:
+                rows[bad_row] = tuple(int(x == bad_x1 + 2) for x in range(40))
+            return multipile._shift_holds(rows, [1, 1, 4, 4, b, b], 2, 2, 40)
+
+        assert holds()
+        assert not holds(bad_row=4, bad_x1=21)
+        assert not holds(bad_row=5, bad_x1=21)
+        assert holds(bad_row=4, bad_x1=22)  # the row repeats from there on
+        assert not holds(b=41)
+
+    @pytest.mark.parametrize("width, height", [(300, 300), (100, 400), (400, 100), (100, 100)])
+    def test_rows_past_the_shift_are_copies(self, monkeypatch, width, height):
+        # Rows x2 >= T + 2m = 49 of {5,7} are built from the mirrors of
+        # cells x1 < T + m and row x2 - m shifted by m, and solve nothing;
+        # past the width of a tall grid the mirrors come from periodic tails.
+        rs = Ruleset((5, 7))
+        calls = _row_solves(monkeypatch, rs, width, height)
+        assert [x2 for x2, _ in calls] == list(range(49))
+        grid = build_grid(rs, width, height)
+        assert grid.shift.start == 35
+        _assert_matches_oracle(grid)
+
+    @pytest.mark.parametrize(
+        "actions, side", [((5, 7), 300), ((2, 3, 5), 200), ((1, 2, 3, 5, 8), 200), ((4, 9, 11), 450)]
+    )
+    def test_line_reports_match_the_oracle_grid(self, actions, side):
+        # Least period and least start of every line whose start lies at
+        # least two periods of 2 max S inside an oracle grid, checked cell
+        # by cell there.  The reports come from a grid of a fifth of the side.
+        rs = Ruleset(actions)
+        values = two_pile_values(rs, side, side)
+        grid = build_grid(rs, side // 5, side // 5)
+        lag = 2 * rs.max_action
+        checked = 0
+        for x in range(side // 5):
+            for report, line in (
+                (row_period(grid, x), values[x]),
+                (column_period(grid, x), [row[x] for row in values]),
+                (diagonal_period(grid, x), [values[t + x][t] for t in range(side - x)]),
+                (diagonal_period(grid, -x), [values[t - x][t] for t in range(x, side)]),
+            ):
+                t0 = max(0, -report.index) if report.kind == "diagonal" else 0
+                checked += _assert_least_period_and_start(line, report, t0, lag)
+        assert checked > side // 5 * 3, checked
+
+    def test_reports_do_not_depend_on_the_grid(self):
+        # Reports are facts about the infinite grid: a grid with its own
+        # certificate, one without (20x20) and a large one must agree on
+        # every line they share.
+        rs = Ruleset((5, 7))
+        big = build_grid(rs, 1200, 1200)
+        for grid in (build_grid(rs, 120, 90), build_grid(rs, 20, 20)):
+            for x2 in range(grid.height):
+                assert row_period(grid, x2) == row_period(big, x2)
+            for x1 in range(grid.width):
+                assert column_period(grid, x1) == column_period(big, x1)
+            for k in range(1 - grid.width, grid.height):
+                assert diagonal_period(grid, k) == diagonal_period(big, k)
+        assert build_grid(rs, 20, 20).shift is None
+
+    def test_no_certificate_under_the_cap_is_refused(self, monkeypatch):
+        # {5,7} certifies on no square below 99 cells a side; with squares
+        # capped at 70 a line report must refuse, not guess.
+        monkeypatch.setattr(multipile, "TABLE_HEAP_LIMIT", 5000)
+        grid = build_grid(Ruleset((5, 7)), 20, 20)
+        for probe in (lambda: row_period(grid, 3), lambda: diagonal_period(grid, 0),
+                      lambda: periodicity_reports(grid)):
+            with pytest.raises(ValueError, match="no two-pile shift certificate"):
+                probe()
+        # An action too large for any square under the cap costs nothing.
+        with pytest.raises(ValueError, match="no two-pile shift certificate"):
+            _certify_shift(Ruleset((1, 10**8)))
+
+    def test_square_stops_once_no_certificate_can_fire(self, monkeypatch):
+        # Row 0 of {40,41}, the single-pile game with xi = 3200, certifies
+        # in neither square (sides 328 and 632 under this cap), so each
+        # stops after that row instead of solving all of its rows.
+        monkeypatch.setattr(multipile, "TABLE_HEAP_LIMIT", 400_000)
+        solve, rows = multipile._solve_row, []
+
+        def spy(row, todo, *args):
+            rows.append(todo[0])
+            return solve(row, todo, *args)
+
+        monkeypatch.setattr(multipile, "_solve_row", spy)
+        with pytest.raises(ValueError, match="no two-pile shift certificate"):
+            _certify_shift(Ruleset((40, 41)))
+        assert rows == [0, 0]
+        # Stopping must not cost a certificate: {5,7} fires on its second
+        # square, of side 112, at row T + 2m - 1 = 48.
+        rows.clear()
+        shift = _certify_shift(Ruleset((5, 7)))
+        assert len(shift.rows[0]) == 112
+        assert rows[-49:] == list(range(49))
 
 
 class TestTwoPileOracle:
@@ -216,8 +333,7 @@ class TestLineProbes:
         report = row_period(grid57, 12)
         assert (report.kind, report.index) == ("row", 12)
         assert report.period == 14
-        assert report.tail_start == 80
-        assert report.verified_up_to == 119
+        assert report.tail_start == 35
 
     def test_column_12_period(self, grid57):
         report = column_period(grid57, 12)
@@ -227,16 +343,15 @@ class TestLineProbes:
         "actions, width, height", [((5, 7), 120, 120), ((5, 7), 200, 45), ((2, 3, 5), 45, 200)]
     )
     def test_column_equals_gathered_column(self, actions, width, height):
-        # Columns may be read from the matching row; probing the transposed
-        # grid's rows gathers every column cell by cell instead.
+        # Columns are read from the matching row or gathered from the grid;
+        # the transposed grid, built without a certificate of its own,
+        # holds each column as a row.
         grid = build_grid(Ruleset(actions), width, height)
         transposed = GridOutcome(grid.ruleset, height, width, tuple(zip(*grid.values)))
         for x1 in range(width):
             column, row = column_period(grid, x1), row_period(transposed, x1)
             assert (column.kind, column.index) == ("column", x1)
-            assert (column.period, column.tail_start, column.verified_up_to) == (
-                row.period, row.tail_start, row.verified_up_to
-            ), x1
+            assert (column.period, column.tail_start) == (row.period, row.tail_start), x1
 
     def test_index_range_checks(self, grid57):
         with pytest.raises(ValueError):
@@ -244,20 +359,22 @@ class TestLineProbes:
         with pytest.raises(ValueError):
             column_period(grid57, -1)
 
-    def test_short_lines_rejected(self):
-        # Probes need 6 * max S points: 42 for S={5,7}.
+    def test_short_lines_certified_on_a_square_of_their_own(self, grid57):
+        # A 60x30 grid holds no shift certificate, so its lines are
+        # answered from a square certified apart from it.
         wide = build_grid(Ruleset((5, 7)), 60, 30)
-        with pytest.raises(ValueError):
-            column_period(wide, 0)
         tall = build_grid(Ruleset((5, 7)), 30, 60)
-        with pytest.raises(ValueError):
-            row_period(tall, 0)
+        assert wide.shift is None and tall.shift is None
+        assert column_period(wide, 0) == column_period(grid57, 0)
+        assert row_period(tall, 0) == row_period(grid57, 0)
+        assert (row_period(tall, 0).period, row_period(tall, 0).tail_start) == (14, 24)
 
-    def test_far_edge_rows_report_no_period(self, grid57):
-        # Periodicity in row x2 sets in near x2 + 10; for rows close to
-        # the far edge that is inside the window, so the probe reports
-        # None rather than inventing a period.
-        assert row_period(grid57, 118).period is None
+    def test_far_edge_rows_report_their_period(self, grid57):
+        # Row 118 repeats only from x1 = 126 on, past the width: the walk
+        # back reads the cells past it from the certificate.
+        report = row_period(grid57, 118)
+        assert (report.period, report.tail_start) == (14, 126)
+        assert report == row_period(build_grid(Ruleset((5, 7)), 300, 300), 118)
 
     def test_report_dict_schema(self, grid57):
         d = row_period(grid57, 12).as_dict()
@@ -265,31 +382,31 @@ class TestLineProbes:
             "kind": "row",
             "index": 12,
             "period": 14,
-            "tail_start": 80,
-            "verified_up_to": 119,
+            "tail_start": 35,
         }
 
 
 class TestDiagonalProbes:
     def test_main_diagonal_constant(self, grid57):
         report = diagonal_period(grid57, 0)
-        assert report.period == 1
-        assert report.tail_start == 80
-        assert report.verified_up_to == 119
+        assert (report.period, report.tail_start) == (1, 0)
 
     def test_offset_diagonals(self, grid57):
         assert diagonal_period(grid57, 3).period == 7
         assert diagonal_period(grid57, -10).period == 7
 
     def test_negative_offset_coordinates(self, grid57):
-        # Diagonal (t, t-10) starts at t = 10; tail/verified are in t.
+        # Diagonal (t, t-10) starts at t = 10; tail_start is in t.
         report = diagonal_period(grid57, -10)
-        assert report.tail_start == 83
-        assert report.verified_up_to == 119
+        assert report.tail_start == 27
+        assert diagonal_period(grid57, -119).tail_start == 119  # a single cell
 
-    def test_short_diagonal_rejected(self, grid57):
-        with pytest.raises(ValueError):
-            diagonal_period(grid57, 100)
+    def test_diagonal_off_the_grid_rejected(self, grid57):
+        # 20 cells on the grid are enough: the certificate answers for the line.
+        assert diagonal_period(grid57, 100).period == 7
+        for k in (120, -120):
+            with pytest.raises(ValueError, match="outside grid"):
+                diagonal_period(grid57, k)
 
 
 class TestPeriodicityReports:
@@ -299,13 +416,10 @@ class TestPeriodicityReports:
         assert lines["conjecture"] == "two-pile-line-periodicity"
         assert lines["parameters"]["period_cap"] == 14
         assert lines["swept_space"] == {"rows": 120, "columns": 120}
-        # Far-edge lines cannot show their period inside the window yet;
-        # they surface as candidates, not as refutations.
-        assert lines["verdict"] == "candidate-counterexamples"
-        assert len(lines["counterexamples"]) == 66
-        assert all(c["period"] is None for c in lines["counterexamples"])
+        assert (lines["verdict"], lines["counterexamples"]) == ("holds", [])
         assert diagonals["conjecture"] == "two-pile-diagonal-periodicity"
-        assert diagonals["verdict"] == "holds"
+        assert diagonals["parameters"]["period_cap"] == 7
+        assert (diagonals["verdict"], diagonals["counterexamples"]) == ("holds", [])
         assert diagonals["swept_space"] == {"diagonals": 21}
 
     def test_rejects_negative_max_diag(self, grid57):
@@ -412,6 +526,26 @@ def _row_solves(monkeypatch, ruleset, width, height):
     monkeypatch.setattr(multipile, "_solve_row", spy)
     build_grid(ruleset, width, height)
     return calls
+
+
+def _assert_least_period_and_start(line, report, t0, lag):
+    """Check a report against line[i] = the line at t = t0 + i, if it fits.
+
+    The line repeats with report.period from report.tail_start on, not
+    from the t before it, and no smaller divisor of lag repeats from there
+    on, over every cell up to two periods of lag past the start.  Returns
+    whether the line was long enough to check.
+    """
+    p, start = report.period, report.tail_start - t0
+    if start + 2 * lag > len(line):
+        return False
+    assert lag % p == 0, report
+    assert all(line[t] == line[t + p] for t in range(start, len(line) - p)), report
+    assert start == 0 or line[start - 1] != line[start - 1 + p], report
+    for q in range(1, p):
+        if lag % q == 0:
+            assert any(line[t] != line[t + q] for t in range(start, len(line) - q)), (report, q)
+    return True
 
 
 def _assert_matches_oracle(grid):

@@ -1,4 +1,4 @@
-"""Property tests: closed forms, the complementary strategy, period probes,
+"""Property tests: closed forms, the complementary strategy, line periods,
 the convergence and period certificates, resumed tables and their
 period-filled tails, the optimal-action tie-break, two-pile grids and
 both minimax oracles against independent computations.
@@ -79,8 +79,10 @@ def test_two_action_closed_form_matches_dp(pair):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(rulesets)
 def test_grid_row_zero_period_matches_single_pile(rs):
-    # Row 0 is the single-pile game.  The width puts the probe's last-third
-    # tail past the convergence bound 2*m^2 with 4*m heaps beyond it.
+    # Row 0 is the single-pile game.  The grid of height 1 holds no shift
+    # certificate, so the report comes from a square certified apart from
+    # it; the width puts 4*m heaps past the convergence bound 2*m^2 in the
+    # table, so eventual_period can read the tail from the reported start.
     m = rs.max_action
     width = 3 * m * m + 12 * m + 3
     grid = build_grid(rs, width, 1)
@@ -326,6 +328,25 @@ def test_certified_grid_rows_match_two_pile_oracle(shape):
     assert build_grid(rs, width, height).values == two_pile_values(rs, width, height)
 
 
+shifted_grids = st.tuples(sized_action_sets(6), st.integers(70, 200), st.integers(70, 300))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(shifted_grids)
+@example((Ruleset((5, 7)), 400, 100))
+@example((Ruleset((2, 3, 5)), 150, 600))
+@example((Ruleset((5, 7)), 60, 400))
+@example((Ruleset((1, 2, 3, 5, 8)), 23, 300))
+def test_shifted_grid_rows_match_two_pile_oracle(shape):
+    # Sides of 70 or more let the shift certificate fire on most of these
+    # rulesets, so rows past T + 2 max S are copies, past the width of a
+    # tall grid too.  The last two examples are too narrow for it: {5,7}
+    # at width 60 certifies rows but not the shift, and {1,2,3,5,8} at
+    # width 23, below 3 max S, certifies no row at all.
+    rs, width, height = shape
+    assert build_grid(rs, width, height).values == two_pile_values(rs, width, height)
+
+
 def _game_tree_value(rs, piles, positive, memo):
     """Value of the position by top-down search, the player to move an argument.
 
@@ -405,7 +426,8 @@ def test_oracles_share_no_code_with_the_builders():
     # they check.
     builders = {
         "build_outcome_table", "_table_generic", "_table_contiguous", "greedy_from",
-        "build_grid", "_solve_row",
+        "build_grid", "_solve_row", "_solve_rows", "_shift_holds", "_certify_shift",
+        "ShiftCertificate",
     }
     for oracle in (core.minimax_values, multipile.two_pile_values):
         names = _names_used(oracle.__code__)
