@@ -61,6 +61,8 @@ class TestFullSupport:
             full_support_outcome(3, -1)
         with pytest.raises(ValueError):
             full_support_opt(3, 0)
+        with pytest.raises(ValueError):
+            full_support_opt(1, 3)
 
 
 class TestTwoActionStructure:

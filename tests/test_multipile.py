@@ -142,8 +142,8 @@ class TestBuildGrid:
 
     def test_rows_certified_inside_the_mirrored_cells(self):
         # Every row of {1,2,3,5,8} repeats from x1 = 24 = 3 max S on, so
-        # rows above that carry a full run in from their mirrored cells,
-        # solve one cell and are filled by period.
+        # rows above that already repeat in their mirrored cells, certify
+        # after max S solved cells and are filled by period.
         _assert_matches_oracle(build_grid(Ruleset((1, 2, 3, 5, 8)), 200, 200))
 
     def test_tall_grid_reads_certified_off_grid_mirrors(self):
@@ -164,15 +164,17 @@ class TestBuildGrid:
         assert [x2 for x2, _ in calls] == list(range(49))
         assert all(start <= x2 + 45 for x2, start in calls), max(s - x for x, s in calls)
 
-    def test_rows_certified_inside_the_mirrored_cells_solve_one_cell(self, monkeypatch):
-        # The run a row carries in from its mirrored cells changes no
-        # value, only the work: without it each row x2 >= 3 max S of
-        # {1,2,3,5,8} would solve max S cells before it certifies.  At width
-        # 47 the shift certificate cannot fire, so every row is solved.
-        calls = _row_solves(monkeypatch, Ruleset((1, 2, 3, 5, 8)), 47, 47)
-        rows = [(x2, start) for x2, start in calls if x2 >= 24]
-        assert [x2 for x2, _ in rows] == list(range(24, 47))
-        assert all(start == x2 + 1 for x2, start in rows), [r for r in rows if r[1] != r[0] + 1][:5]
+    @pytest.mark.parametrize("actions, side, solved", [((1, 2, 3, 5, 8), 47, 47), ((5, 7), 300, 49)])
+    def test_row_starts_count_only_solved_cells(self, monkeypatch, actions, side, solved):
+        # A row's start ends a run of max S solved cells, so it is at
+        # least x2 + max S, past the mirrored cells, even where those
+        # already repeat; a row with no room for that run returns W + 1.
+        # At width 47 the shift certificate of {1,2,3,5,8} cannot fire, so
+        # every row is solved.
+        m = actions[-1]
+        calls = _row_solves(monkeypatch, Ruleset(actions), side, side)
+        assert [x2 for x2, _ in calls] == list(range(solved))
+        assert [(x2, start) for x2, start in calls if start < min(x2 + m, side + 1)] == []
 
     def test_grid_where_no_row_certifies(self):
         # 3 max S = 123 exceeds the width, so every cell is solved.
@@ -425,6 +427,42 @@ class TestPeriodicityReports:
     def test_rejects_negative_max_diag(self, grid57):
         with pytest.raises(ValueError, match="max_diag must be nonnegative"):
             periodicity_reports(grid57, max_diag=-1)
+
+    def test_verdicts_read_from_the_certificate_alone(self, monkeypatch):
+        # The certificate settles every line, so no line period is computed.
+        find, calls = multipile._least_period_and_start, []
+
+        def spy(*args):
+            calls.append(args)
+            return find(*args)
+
+        monkeypatch.setattr(multipile, "_least_period_and_start", spy)
+        reports = periodicity_reports(build_grid(Ruleset((5, 7)), 1200, 1200))
+        assert calls == []
+        shape = {"ruleset": [5, 7], "width": 1200, "height": 1200}
+        assert reports == {
+            "lines": {
+                "conjecture": "two-pile-line-periodicity",
+                "parameters": {**shape, "period_cap": 14},
+                "swept_space": {"rows": 1200, "columns": 1200},
+                "counterexamples": [],
+                "verdict": "holds",
+            },
+            "diagonals": {
+                "conjecture": "two-pile-diagonal-periodicity",
+                "parameters": {**shape, "period_cap": 7, "max_diag": 50},
+                "swept_space": {"diagonals": 101},
+                "counterexamples": [],
+                "verdict": "holds",
+            },
+        }
+        # A grid with no certificate of its own still needs a square under
+        # the cap; below 99 cells a side {5,7} has none.
+        grid = build_grid(Ruleset((5, 7)), 20, 20)
+        monkeypatch.setattr(multipile, "TABLE_HEAP_LIMIT", 5000)
+        with pytest.raises(ValueError, match="no two-pile shift certificate"):
+            periodicity_reports(grid)
+        assert calls == []
 
     @pytest.mark.parametrize("shape", [(60, 60), (200, 45), (45, 200)])
     def test_max_diag_past_grid_is_clipped(self, shape):

@@ -321,9 +321,9 @@ certifying_grids = st.tuples(sized_action_sets(8), st.integers(24, 160), st.inte
 @example((Ruleset((1, 2, 3, 5, 8)), 60, 160))
 def test_certified_grid_rows_match_two_pile_oracle(shape):
     # Sides from 3 max S (the least start of a certified row) to 160: most
-    # rows certify, many with a run carried in from their mirrored cells,
-    # and a tall grid reads certified off-grid mirrors, so the oracle
-    # checks every cell filled by period.
+    # rows certify, many right after their mirrored cells, and a tall grid
+    # reads certified off-grid mirrors, so the oracle checks every cell
+    # filled by period.
     rs, width, height = shape
     assert build_grid(rs, width, height).values == two_pile_values(rs, width, height)
 

@@ -114,6 +114,17 @@ class TestDualityTheorem:
         with pytest.raises(ValueError):
             check_duality_theorem(tr_sequence(2))
 
+    def test_profile_without_value_two(self):
+        # No real profile lacks tr = 2 for m >= 3; a forged one must be
+        # reported as failing, not raise on the missing value.
+        forged = truncated.TruncationProfile(
+            m=5, tr=(1, 3, 3, 4), x_values=(1, 3, 4), deltas=(2, 1), multiplicities=(1, 2, 1)
+        )
+        report = check_duality_theorem(forged)
+        assert report.multiplicity_of_two == 0
+        assert report.early_all_two is False
+        assert not report.delta_equals_multiplicity
+
     def test_as_dict_schema(self):
         d = check_duality_theorem(tr_sequence(5)).as_dict()
         assert d["m"] == 5
