@@ -14,6 +14,8 @@ sacrifices, who moves last, how large sacrifices are).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 from typing import Iterable
 
 from .core import (
@@ -171,21 +173,41 @@ def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[list[int], list[int]
     the other player; plies[h] is the number of moves.  Both players follow
     the same opt, so the trace from h is one move followed by the trace from
     h - opt(h) with the roles swapped, and one linear pass fills all three.
+
+    The pass stops at stop = min(x_cap + 1, greedy_from + m), m = max S,
+    and the rest is filled by period 2m.  From greedy_from on, opt(h) =
+    greedy(h) = m inside the table, so no sacrifice is made there and
+    mine[h] = theirs[h-m], theirs[h] = mine[h-m], plies[h] = plies[h-m] + 1.
+    Applied twice, from greedy_from + m on mine[h] = mine[h-2m],
+    theirs[h] = theirs[h-2m] and plies[h] = plies[h-2m] + 2: the heaps
+    past stop repeat the block [stop - 2m, stop), plies adding 2 per
+    period.  Heaps below m cannot play m, so greedy_from >= m and the
+    block never starts below heap 0.
     """
-    opts = build_outcome_table(ruleset, x_cap).opts
-    greedy = [0] * (x_cap + 1)
+    table = build_outcome_table(ruleset, x_cap)
+    opts, m = table.opts, ruleset.max_action
+    stop = min(x_cap + 1, table.greedy_from + m)
+    greedy = [0] * stop
     for a in ruleset.actions:  # each action is greedy from itself up to the next
-        greedy[a:] = [a] * (x_cap + 1 - a)
-    mine = [0] * (x_cap + 1)
-    theirs = [0] * (x_cap + 1)
-    plies = [0] * (x_cap + 1)
-    for h in range(ruleset.min_action, x_cap + 1):
+        greedy[a:] = [a] * (stop - a)
+    mine = [0] * stop
+    theirs = [0] * stop
+    plies = [0] * stop
+    for h in range(ruleset.min_action, stop):
         a = opts[h]
         c = h - a
         sac = greedy[h] - a
         mine[h] = sac if sac > theirs[c] else theirs[c]
         theirs[h] = mine[c]
         plies[h] = plies[c] + 1
+    n = x_cap + 1 - stop
+    if n > 0:
+        lo = stop - 2 * m
+        reps = n // (2 * m) + 1
+        mine += (mine[lo:] * reps)[:n]
+        theirs += (theirs[lo:] * reps)[:n]
+        block = plies[lo:]
+        plies += [p + k for k in range(2, 2 * reps + 1, 2) for p in block][:n]
     return mine, theirs, plies
 
 
@@ -240,10 +262,10 @@ def scan_sacrifice_conjecture(max_s: int, x_cap: int) -> list[SacrificeFinding]:
     findings: list[SacrificeFinding] = []
     for ruleset in rulesets_with_max_at_most(max_s, (4, 5)):
         mine, theirs, _ = _trace_summaries(ruleset, x_cap)
+        # Sacrifices are >= 0, so the product is positive just when both are.
         findings += [
-            SacrificeFinding(ruleset, x, p, n, consistent=n < p)
-            for x, (p, n) in enumerate(zip(mine, theirs))
-            if p > 0 and n > 0
+            SacrificeFinding(ruleset, x, mine[x], theirs[x], consistent=theirs[x] < mine[x])
+            for x in compress(range(x_cap + 1), map(mul, mine, theirs))
         ]
     return findings
 

@@ -191,18 +191,25 @@ def _table_generic(ruleset: Ruleset, o: list[int], opts: list[int | None], start
     that certifies the tail, so that the 4*max S heaps from xi that
     eventual_period reads in convergence_point's self-check are all
     solved here, never filled.
+
+    The largest playable action seeds best: max S from heap max S on,
+    and below it the largest action bisect finds playable.  The other
+    playable actions follow in descending order and replace best only
+    when strictly better, so the largest maximizer wins every tie.
     """
     acts = ruleset.actions
     m = ruleset.max_action
+    desc = acts[-2::-1]  # the actions below max S, largest first
     for x in range(max(ruleset.min_action, start), len(o)):
-        best = None
-        best_s = None
-        for s in acts:
-            if s > x:
-                break
+        if x >= m:
+            best_s, rest = m, desc
+        else:
+            i = bisect.bisect_right(acts, x)
+            best_s, rest = acts[i - 1], desc[len(acts) - i:]
+        best = best_s - o[x - best_s]
+        for s in rest:
             v = s - o[x - s]
-            # >= so that the largest action wins ties.
-            if best is None or v >= best:
+            if v > best:
                 best, best_s = v, s
         o[x] = best
         opts[x] = best_s

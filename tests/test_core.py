@@ -234,6 +234,25 @@ class TestOptAction:
         assert table.opts[43] == 7
         assert table.outcomes[43] == 1
 
+    @pytest.mark.parametrize(
+        "actions, heap, tied, opt",
+        [
+            # Below max S: seeded from 3, the largest playable action,
+            # and 1 ties it.
+            ((1, 3, 8), 7, (1, 3), 3),
+            # Above max S: seeded from 5, then 4 beats it and 2 ties 4.
+            ((2, 4, 5), 11, (2, 4), 4),
+        ],
+    )
+    def test_generic_kernel_largest_tie_break(self, actions, heap, tied, opt):
+        rs = Ruleset(actions)
+        assert not rs.is_contiguous
+        _, o, opts = _kernel_table(_table_generic, rs, 100)
+        best = max(s - o[heap - s] for s in actions if s <= heap)
+        assert [s for s in actions if s <= heap and s - o[heap - s] == best] == list(tied)
+        assert opts[heap] == opt
+        assert build_outcome_table(rs, heap).opts[heap] == opt
+
 
 class TestMinimaxOracle:
     def test_spot_values(self):

@@ -92,12 +92,13 @@ def test_grid_row_zero_period_matches_single_pile(rs):
     assert report.period == eventual_period(table, report.tail_start).period
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(sized_rulesets)
-def test_trace_summaries_match_trace_replay(rs):
-    x_cap = 150
+def _check_summaries_by_replay(rs, x_cap):
+    """_trace_summaries(rs, x_cap) against canonical traces replayed move by
+    move: each player's largest sacrifice, the exact ply count and who moves
+    last, at every start heap up to x_cap."""
     mine, theirs, plies = _trace_summaries(rs, x_cap)
     table = build_outcome_table(rs, x_cap)
+    assert len(mine) == len(theirs) == len(plies) == x_cap + 1
     for x in range(x_cap + 1):
         trace = canonical_trace(rs, x, table=table)
         largest = {Mover.POSITIVE: 0, Mover.NEGATIVE: 0}
@@ -110,6 +111,32 @@ def test_trace_summaries_match_trace_replay(rs):
         assert plies[x] == len(trace.moves), x
         positive_last = bool(trace.moves) and trace.moves[-1].mover is Mover.POSITIVE
         assert positive_last == (plies[x] % 2 == 1), x
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(sized_rulesets)
+def test_trace_summaries_match_trace_replay(rs):
+    _check_summaries_by_replay(rs, 150)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rs=sized_rulesets, x_cap=st.none())
+# The pass stops at greedy_from + max S; these put that cut at x_cap
+# (one heap filled) and at x_cap + 1 (none filled), once inside a greedy
+# run that ends below xi = 71 and once from xi on.
+@example(rs=Ruleset((2, 7, 10, 11)), x_cap=43)
+@example(rs=Ruleset((2, 7, 10, 11)), x_cap=42)
+@example(rs=Ruleset((2, 7, 10, 11)), x_cap=82)
+@example(rs=Ruleset((2, 7, 10, 11)), x_cap=81)
+def test_trace_summaries_past_the_cut_match_trace_replay(rs, x_cap):
+    # At default_x_max the table reaches 4*max S heaps past the bound on
+    # xi, so the pass stops at xi + max S and fills the rest by period.
+    if x_cap is None:
+        x_cap = default_x_max(rs)
+    else:
+        cut = build_outcome_table(rs, x_cap).greedy_from + rs.max_action
+        assert cut in (x_cap, x_cap + 1)
+    _check_summaries_by_replay(rs, x_cap)
 
 
 def _largest_maximizers(rs, x_max):
