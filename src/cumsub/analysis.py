@@ -23,6 +23,7 @@ from .core import (
     PlayTrace,
     Report,
     Ruleset,
+    _fill_period,
     build_outcome_table,
     canonical_trace,
     rulesets_with_max_at_most,
@@ -165,24 +166,22 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
     )
 
 
-def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[list[int], list[int], list[int]]:
+def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[list[int], list[int], list[bool]]:
     """Summaries of the canonical trace from every start heap h <= x_cap.
 
     mine[h] and theirs[h] are the largest sacrifices (greedy at that heap
     minus the action played, 0 for none) by the player to move at h and by
-    the other player; plies[h] is the number of moves.  Both players follow
-    the same opt, so the trace from h is one move followed by the trace from
-    h - opt(h) with the roles swapped, and one linear pass fills all three.
+    the other player, and last[h] is whether the player to move at h moves
+    last.  Both follow one opt, so the trace from h is a move and then the
+    trace from h - opt(h) with roles swapped: one linear pass fills all three.
 
-    The pass stops at stop = min(x_cap + 1, greedy_from + m), m = max S,
-    and the rest is filled by period 2m.  From greedy_from on, opt(h) =
-    greedy(h) = m inside the table, so no sacrifice is made there and
-    mine[h] = theirs[h-m], theirs[h] = mine[h-m], plies[h] = plies[h-m] + 1.
-    Applied twice, from greedy_from + m on mine[h] = mine[h-2m],
-    theirs[h] = theirs[h-2m] and plies[h] = plies[h-2m] + 2: the heaps
-    past stop repeat the block [stop - 2m, stop), plies adding 2 per
-    period.  Heaps below m cannot play m, so greedy_from >= m and the
-    block never starts below heap 0.
+    From greedy_from on, opt(h) = greedy(h) = m = max S inside the table, so
+    no sacrifice is made there and mine[h] = theirs[h-m], theirs[h] =
+    mine[h-m] and last[h] = not last[h-m].  Applied twice, all three repeat
+    with period 2m from greedy_from + m on, so the pass stops at
+    stop = min(x_cap + 1, greedy_from + m) and the heaps past it repeat the
+    block [stop - 2m, stop).  Heaps below m cannot play m, so
+    greedy_from >= m and the block never starts below heap 0.
     """
     table = build_outcome_table(ruleset, x_cap)
     opts, m = table.opts, ruleset.max_action
@@ -190,25 +189,19 @@ def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[list[int], list[int]
     greedy = [0] * stop
     for a in ruleset.actions:  # each action is greedy from itself up to the next
         greedy[a:] = [a] * (stop - a)
-    mine = [0] * stop
-    theirs = [0] * stop
-    plies = [0] * stop
+    mine = [0] * (x_cap + 1)
+    theirs = [0] * (x_cap + 1)
+    last = [False] * (x_cap + 1)
     for h in range(ruleset.min_action, stop):
         a = opts[h]
         c = h - a
         sac = greedy[h] - a
         mine[h] = sac if sac > theirs[c] else theirs[c]
         theirs[h] = mine[c]
-        plies[h] = plies[c] + 1
-    n = x_cap + 1 - stop
-    if n > 0:
-        lo = stop - 2 * m
-        reps = n // (2 * m) + 1
-        mine += (mine[lo:] * reps)[:n]
-        theirs += (theirs[lo:] * reps)[:n]
-        block = plies[lo:]
-        plies += [p + k for k in range(2, 2 * reps + 1, 2) for p in block][:n]
-    return mine, theirs, plies
+        last[h] = not last[c]
+    for seq in mine, theirs, last:
+        _fill_period(seq, stop, 2 * m)
+    return mine, theirs, last
 
 
 # Observation name -> (sweep title, report label, predicate).  The
@@ -242,9 +235,9 @@ def check_observation(name: str, ruleset: Ruleset, xs: Iterable[int]) -> Observa
     xs = list(xs)
     if min(xs, default=0) < 0:
         raise ValueError(f"start heaps must be nonnegative, got {min(xs)}")
-    mine, theirs, plies = _trace_summaries(ruleset, max(xs, default=0))
+    mine, theirs, last = _trace_summaries(ruleset, max(xs, default=0))
     for x in xs:
-        if violated(mine[x] > 0, theirs[x] > 0, plies[x] % 2 == 1):
+        if violated(mine[x] > 0, theirs[x] > 0, last[x]):
             return ObservationReport(label, ruleset, False, x, canonical_trace(ruleset, x))
     return ObservationReport(label, ruleset, True)
 

@@ -260,6 +260,18 @@ def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], st
     return last
 
 
+def _fill_period(seq: list, start: int, lag: int) -> None:
+    """Repeat seq[start - lag:start] over seq[start:], which is empty when start >= len(seq)."""
+    n = len(seq) - start
+    if n > 0:
+        seq[start:] = (seq[start - lag:start] * (n // lag + 1))[:n]
+
+
+def _period_cell(x: int, start: int, lag: int) -> int:
+    """The index in the block [start - lag, start) that x >= start repeats by period lag."""
+    return start - lag + (x - start) % lag
+
+
 def build_outcome_table(ruleset: Ruleset, x_max: int, table: OutcomeTable | None = None) -> OutcomeTable:
     """Solve the game exactly for every heap 0..x_max.
 
@@ -294,10 +306,8 @@ def build_outcome_table(ruleset: Ruleset, x_max: int, table: OutcomeTable | None
         kernel = _table_contiguous if ruleset.is_contiguous else _table_generic
         last = kernel(ruleset, o, opts, n + 1, last)
         n = min(last + 4 * m, x_max)
-    if n < x_max:
-        block = o[n + 1 - 2 * m:n + 1]
-        o[n + 1:] = (block * ((x_max - n) // (2 * m) + 1))[:x_max - n]
-        opts[n + 1:] = [m] * (x_max - n)
+    _fill_period(o, n + 1, 2 * m)
+    opts[n + 1:] = [m] * (x_max - n)
     return OutcomeTable(
         ruleset=ruleset, x_max=x_max, outcomes=tuple(o), opts=tuple(opts), greedy_from=last + 1
     )

@@ -41,7 +41,7 @@ from math import isqrt
 from operator import itemgetter
 
 from .analysis import conjecture_report
-from .core import TABLE_HEAP_LIMIT, Report, Ruleset
+from .core import TABLE_HEAP_LIMIT, Report, Ruleset, _fill_period, _period_cell
 
 _CSV_ENCODING = "ascii"
 
@@ -67,10 +67,8 @@ class ShiftCertificate:
         if lo >= self.start:  # shift down to a stored row
             k = (lo - self.start) // self.m * self.m
             lo, hi = lo - k, hi - k
-        a, lag = self.row_starts[lo], 2 * self.m
-        if hi >= a:
-            hi = a - lag + (hi - a) % lag
-        return self.rows[lo][hi]
+        a = self.row_starts[lo]
+        return self.rows[lo][hi if hi < a else _period_cell(hi, a, 2 * self.m)]
 
     def row_start(self, x2: int) -> int:
         """An X from which row x2 repeats with period 2m; not always the least.
@@ -208,7 +206,7 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
         m, lag, t = shift.m, 2 * shift.m, shift.start
         for x2 in range(len(rows), height):
             # x2 >= W: the mirror is in the last 2m cells of a certified row
-            j = x2 if x2 < width else width - lag + (x2 - width) % lag
+            j = x2 if x2 < width else _period_cell(x2, width, lag)
             rows.append(tuple(map(itemgetter(j), shift.rows)) + rows[x2 - m][t:width - m])
     return GridOutcome(ruleset, width, height, tuple(rows), shift)
 
@@ -233,9 +231,7 @@ def _solve_rows(
         row += [None] * (width - x2)
         floor = max([3 * m] + [starts[x2 - s] for s in acts if s <= x2])
         start = _solve_row(row, range(x2, width), rows, acts, playable, floor)
-        if start < width:  # the rest by period 2m
-            rem = width - start
-            row[start:] = (row[start - lag:start] * (rem // lag + 1))[:rem]
+        _fill_period(row, start, lag)  # the rest by period 2m
         rows.append(tuple(row))
         starts.append(start)
         t = x2 - lag + 1
@@ -249,7 +245,7 @@ def _solve_rows(
         todo = [x1 for x1, x in enumerate(starts) if x > width]
         for x2 in range(width, height):
             # A certified row holds at least 2m cells (b): index x2 in its last 2m.
-            phase = width - lag + (x2 - width) % lag if 3 * m <= width else 0
+            phase = _period_cell(x2, width, lag) if 3 * m <= width else 0
             row = list(map(itemgetter(phase), tails))
             _solve_row(row, todo, rows, acts, playable, never)
             rows.append(tuple(row))
@@ -408,13 +404,10 @@ def column_period(grid: GridOutcome, x1: int) -> LinePeriodReport:
 
 
 def _row_report(grid: GridOutcome, kind: str, r: int) -> LinePeriodReport:
-    """Report on row r of the infinite grid, read from the grid where it has the cells."""
+    """Report on row r of the infinite grid, read from the certificate."""
     cert = grid.certificate
     end = cert.row_start(r)
-    # Row r is on the grid up to the width, or else column r is, up to the height.
-    line = grid.values[r] if r < grid.height else tuple(map(itemgetter(r), grid.values))
-    if len(line) < end:  # the rest from the certificate
-        line = [*line, *(cert.cell(x1, r) for x1 in range(len(line), end))]
+    line = [cert.cell(x1, r) for x1 in range(end)]
     period, start = _least_period_and_start(line, end, 2 * cert.m)
     return LinePeriodReport(kind, r, period, start)
 

@@ -22,7 +22,13 @@ from cumsub import (
     minimax_values,
     rulesets_with_max_at_most,
 )
-from cumsub.core import TABLE_HEAP_LIMIT, _table_contiguous, _table_generic
+from cumsub.core import (
+    TABLE_HEAP_LIMIT,
+    _fill_period,
+    _period_cell,
+    _table_contiguous,
+    _table_generic,
+)
 from test_properties import _largest_maximizers
 
 # o(x) and opt(x) for S={5,7}, x = 0..55, one tuple entry per heap.
@@ -185,6 +191,40 @@ class TestOutcomeTable:
             build_outcome_table(Ruleset((5, 7)), TABLE_HEAP_LIMIT)
         with pytest.raises(ValueError, match="above the supported"):
             minimax_values(Ruleset((5, 7)), TABLE_HEAP_LIMIT)
+
+
+class TestPeriodHelpers:
+    """_fill_period and _period_cell, the one rule for every certified tail."""
+
+    LAG = 4
+
+    def _seq(self, n):
+        # Cells past the block are None, so a cell left unfilled shows.
+        return [10, 11, 12, 13, 14, 15, *[None] * (n - 6)]
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_fill_does_nothing_from_the_end_on(self, extra):
+        # start = len(seq) + 1 is the W + 1 an uncertified grid row returns.
+        seq = self._seq(6)
+        _fill_period(seq, len(seq) + extra, self.LAG)
+        assert seq == [10, 11, 12, 13, 14, 15]
+
+    def test_fill_shorter_than_one_block(self):
+        seq = self._seq(8)
+        _fill_period(seq, 6, self.LAG)
+        assert seq == [10, 11, 12, 13, 14, 15, 12, 13]
+
+    def test_fill_exactly_three_blocks(self):
+        seq = self._seq(6 + 3 * self.LAG)
+        _fill_period(seq, 6, self.LAG)
+        assert seq == [10, 11, *[12, 13, 14, 15] * 4]
+
+    @pytest.mark.parametrize(
+        "x, cell", [(5, 5), (6, 2), (6 + LAG - 1, 5), (6 + LAG, 2)]
+    )
+    def test_cell_map_at_the_block_edges(self, x, cell):
+        # x = start - 1 is the last cell of the block and maps to itself.
+        assert _period_cell(x, 6, self.LAG) == cell
 
 
 def _kernel_table(kernel, rs, x_max):

@@ -345,9 +345,9 @@ class TestLineProbes:
         "actions, width, height", [((5, 7), 120, 120), ((5, 7), 200, 45), ((2, 3, 5), 45, 200)]
     )
     def test_column_equals_gathered_column(self, actions, width, height):
-        # Columns are read from the matching row or gathered from the grid;
-        # the transposed grid, built without a certificate of its own,
-        # holds each column as a row.
+        # A column is read from the certificate as the matching row; the
+        # transposed grid, built without a certificate of its own, holds
+        # each column as a row and answers from a square of its own.
         grid = build_grid(Ruleset(actions), width, height)
         transposed = GridOutcome(grid.ruleset, height, width, tuple(zip(*grid.values)))
         for x1 in range(width):

@@ -94,11 +94,11 @@ def test_grid_row_zero_period_matches_single_pile(rs):
 
 def _check_summaries_by_replay(rs, x_cap):
     """_trace_summaries(rs, x_cap) against canonical traces replayed move by
-    move: each player's largest sacrifice, the exact ply count and who moves
-    last, at every start heap up to x_cap."""
-    mine, theirs, plies = _trace_summaries(rs, x_cap)
+    move: each player's largest sacrifice and who moves last, at every start
+    heap up to x_cap."""
+    mine, theirs, last = _trace_summaries(rs, x_cap)
     table = build_outcome_table(rs, x_cap)
-    assert len(mine) == len(theirs) == len(plies) == x_cap + 1
+    assert len(mine) == len(theirs) == len(last) == x_cap + 1
     for x in range(x_cap + 1):
         trace = canonical_trace(rs, x, table=table)
         largest = {Mover.POSITIVE: 0, Mover.NEGATIVE: 0}
@@ -108,9 +108,8 @@ def _check_summaries_by_replay(rs, x_cap):
             largest[move.mover] = max(largest[move.mover], sac)
             heap -= move.action
         assert (mine[x], theirs[x]) == (largest[Mover.POSITIVE], largest[Mover.NEGATIVE]), x
-        assert plies[x] == len(trace.moves), x
         positive_last = bool(trace.moves) and trace.moves[-1].mover is Mover.POSITIVE
-        assert positive_last == (plies[x] % 2 == 1), x
+        assert last[x] is positive_last, x
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
