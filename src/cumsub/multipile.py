@@ -19,8 +19,8 @@ The rules treat both piles alike, so o(x1, x2) = o(x2, x1): swapping
 the piles maps each move of one position onto a move of the other with
 the same s, and the recursion carries the equality up from the terminal
 cells.  So a row copies its cells left of the main diagonal from the
-rows below, a tall grid reads its rows past the width from the periodic
-tails of certified rows, and a column is the matching row.
+rows below, and a column is the matching row.  Rows past the width of a
+tall grid are solved whole until they repeat by period 2 max S.
 
 A second certificate covers the whole plane: with m = max S, once the
 certified rows show o(x1 + m, x2 + m) = o(x1, x2) on a band of m rows
@@ -33,7 +33,7 @@ sweeps: row and column periods divide 2m, diagonal periods divide m.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -193,12 +193,15 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     right by m.  (Cells T <= x1 < T + m are not shifts: their twins
     (x1 - m, x2 - m) have a coordinate below T.)
 
-    A tall grid's rows x2 >= W have every mirror (x2, x1) off the grid.
-    When row x1 is certified, that mirror is its tail, read at the cell of
-    the last 2m congruent to x2.  Without the shift the other cells are
-    solved, and these rows are not certified themselves.  Rows are stored
-    to width W only, so memory stays proportional to the grid whatever
-    max S is.
+    A tall grid's rows x2 >= W have every mirror off the grid.  Without
+    the shift they are solved whole until max S of them in a row, each
+    x2 >= 2m, equal the rows 2m below; every later row X then equals row
+    X - 2m.  Proof.  The run ends at 3m - 1 or later, so X - 2m >= m, and
+    rows X and X - 2m play every pile-2 move and the same pile-1 moves.
+    Rows X - s, s in S, equal the rows 2m below them, so the two agree by
+    induction on x1, and then on X.  Rows are stored to width W only and
+    repeats share one tuple, so memory stays proportional to the grid
+    whatever max S is.
     """
     _check_grid(width, height)
     rows, shift = _solve_rows(ruleset.actions, width, height)
@@ -221,7 +224,7 @@ def _solve_rows(
     row starts past W - 2 max S, from where no certificate can fire.
     """
     m = acts[-1]
-    lag, never = 2 * m, width + 1
+    lag = 2 * m
     # Pile-1 actions past the least one that x1 < max S can play.
     playable = [acts[1:bisect_right(acts, x1)] for x1 in range(min(m, width))]
     rows: list[tuple[int, ...]] = []
@@ -230,7 +233,7 @@ def _solve_rows(
         row = list(map(itemgetter(x2), rows))  # x1 < x2: the mirrors
         row += [None] * (width - x2)
         floor = max([3 * m] + [starts[x2 - s] for s in acts if s <= x2])
-        start = _solve_row(row, range(x2, width), rows, acts, playable, floor)
+        start = _solve_row(row, x2, rows, acts, playable, floor)
         _fill_period(row, start, lag)  # the rest by period 2m
         rows.append(tuple(row))
         starts.append(start)
@@ -239,16 +242,16 @@ def _solve_rows(
             return rows, ShiftCertificate(m, t, tuple(rows[:t + m]), tuple(starts[:t + m]))
         if certify_only and start > width - lag:
             return rows, None
-    if height > width:  # rows x2 >= W: mirrors off the grid
-        blank = (None,) * width
-        tails = [r if x <= width else blank for r, x in zip(rows, starts)]
-        todo = [x1 for x1, x in enumerate(starts) if x > width]
-        for x2 in range(width, height):
-            # A certified row holds at least 2m cells (b): index x2 in its last 2m.
-            phase = _period_cell(x2, width, lag) if 3 * m <= width else 0
-            row = list(map(itemgetter(phase), tails))
-            _solve_row(row, todo, rows, acts, playable, never)
-            rows.append(tuple(row))
+    run = 0  # consecutive rows x2 >= 2m equal to row x2 - 2m
+    for x2 in range(width, height):  # rows x2 >= W: mirrors off the grid
+        row = [None] * width
+        _solve_row(row, 0, rows, acts, playable, width + 1)
+        rows.append(tuple(row))
+        run = run + 1 if x2 >= lag and rows[x2] == rows[x2 - lag] else 0
+        if run >= m:  # every later row repeats by period 2m
+            rows += [None] * (height - x2 - 1)
+            _fill_period(rows, x2 + 1, lag)
+            break
     return rows, None
 
 
@@ -292,27 +295,23 @@ def _check_grid(width: int, height: int) -> None:
         )
 
 
-def _solve_row(
-    row: list, todo: Sequence[int], rows: list, acts: tuple, playable: list, floor: int
-) -> int:
-    """Solve the cells x1 in todo of row len(rows) of a grid, left to right.
+def _solve_row(row: list, first: int, rows: list, acts: tuple, playable: list, floor: int) -> int:
+    """Solve the cells x1 >= first of row len(rows) of a grid, left to right.
 
-    The cells left of each one and the rows below must be filled.  Stops
-    at the first x1 + 1 >= floor that ends a run of max S solved cells
-    equal to the cells 2 max S to their left, and returns it; otherwise
-    solves every cell and returns W + 1.  The loop has the shape of
+    The cells left of first and the rows below must be filled.  Stops at
+    the first x1 + 1 >= floor that ends a run of max S solved cells equal
+    to the cells 2 max S to their left, and returns it; otherwise solves
+    every cell and returns W + 1.  The loop has the shape of
     minimax_values.
     """
-    x2 = len(rows)
+    x2, width = len(rows), len(row)
     lo, rest, m = acts[0], acts[1:], acts[-1]
     lag, run = 2 * m, 0
     downs = [(s, rows[x2 - s]) for s in acts if s <= x2]  # pile-2 moves
-    i = bisect_left(todo, lo)
-    if i:  # pile 1 has no move: these cells all hold the single-pile o(x2)
-        v = max([s - r[todo[0]] for s, r in downs], default=0)
-        for x1 in todo[:i]:
-            row[x1] = v
-    for x1 in todo[i:]:
+    if first < lo:  # pile 1 has no move: these cells all hold the single-pile o(x2)
+        v = max([s - r[first] for s, r in downs], default=0)
+        row[first:lo] = [v] * (min(lo, width) - first)
+    for x1 in range(max(first, lo), width):
         v = lo - row[x1 - lo]
         for s in rest if x1 >= m else playable[x1]:
             up = s - row[x1 - s]
@@ -329,7 +328,7 @@ def _solve_row(
                 return x1 + 1
         else:
             run = 0
-    return len(row) + 1
+    return width + 1
 
 
 def two_pile_values(ruleset: Ruleset, width: int, height: int) -> tuple[tuple[int, ...], ...]:

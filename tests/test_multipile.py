@@ -84,7 +84,8 @@ class TestBuildGrid:
     )
     def test_matches_oracle_on_whole_grid(self, actions, width, height):
         # Square, nearly square, wide and tall: mirrored cells, solved
-        # cells and the rows of a tall grid past its width all meet here.
+        # cells and the rows of a tall grid past its width, solved until
+        # they repeat as whole rows, all meet here.
         _assert_matches_oracle(build_grid(Ruleset(actions), width, height))
 
     def test_outcome_range_checks(self, grid23):
@@ -123,11 +124,11 @@ class TestBuildGrid:
         _assert_matches_oracle(build_grid(Ruleset(actions), width, height))
 
     def test_tall_grid_memory_matches_its_transpose(self):
-        # Rows past the width read their off-grid mirrors from the tails
-        # of certified rows, so a row stored past the width would change
-        # no value: only memory shows it.  A tall grid must cost about what
-        # its transpose does (its extra row tuples make up the few percent
-        # between them).
+        # Rows past the width are stored to the width only, and once they
+        # repeat as whole rows the later ones share the tuples 2 max S
+        # below, so a row stored past the width or copied instead of shared
+        # would change no value: only memory shows it.  A tall grid must
+        # cost no more than its transpose does.
         rs = Ruleset((5, 7))
 
         def peak(width, height):
@@ -138,7 +139,9 @@ class TestBuildGrid:
             finally:
                 tracemalloc.stop()
 
-        assert peak(40, 1500) < 1.3 * peak(1500, 40)
+        tall, wide = peak(40, 1500), peak(1500, 40)
+        assert tall < 1.3 * wide
+        assert tall < wide, (tall, wide)
 
     def test_rows_certified_inside_the_mirrored_cells(self):
         # Every row of {1,2,3,5,8} repeats from x1 = 24 = 3 max S on, so
@@ -146,14 +149,37 @@ class TestBuildGrid:
         # after max S solved cells and are filled by period.
         _assert_matches_oracle(build_grid(Ruleset((1, 2, 3, 5, 8)), 200, 200))
 
-    def test_tall_grid_reads_certified_off_grid_mirrors(self):
-        # Rows x2 >= 60 take the cells of the certified rows x1 from their
-        # periodic tails at x2, and solve the others: a width of 60 is too
-        # narrow for the shift certificate of {5,7}.
+    def test_tall_grid_rows_repeat_whole(self):
+        # Rows x2 >= 60 are solved over the whole width until m of them in
+        # a row equal the rows 2m below, and repeat by period 2m from
+        # there: a width of 60 is too narrow for the shift certificate of
+        # {5,7}.
         rs = Ruleset((5, 7))
         tall = build_grid(rs, 60, 400)
         _assert_matches_oracle(tall)
         assert tall.values == tuple(zip(*build_grid(rs, 400, 60).values))
+
+    @pytest.mark.parametrize(
+        "actions, width, height, solved",
+        [((5, 7), 40, 1500, 30), ((40, 41), 100, 300, 200), ((5, 7), 1, 200, 44)],
+    )
+    def test_tall_grid_solves_rows_until_they_repeat(
+        self, monkeypatch, actions, width, height, solved
+    ):
+        # {5,7} at width 40 has no shift certificate; rows 63..69 equal the
+        # rows 14 below, so rows 40..69 are solved, each from x1 = 0, and
+        # each later row is the very tuple 14 below it.  {40,41} repeats no
+        # whole row by height 300, so all 200 rows are solved.  At width 1,
+        # the single-pile game, rows below 2m = 14 have no row 2m below to
+        # compare, and rows 38..44 end the first run.
+        rs = Ruleset(actions)
+        calls = _row_solves(monkeypatch, rs, width, height)
+        assert [first for first, _ in calls] == list(range(width)) + [0] * solved
+        grid = build_grid(rs, width, height)
+        _assert_matches_oracle(grid)
+        lag = 2 * rs.max_action
+        repeat = width + solved
+        assert all(grid.values[x2] is grid.values[x2 - lag] for x2 in range(repeat, height))
 
     def test_rows_stop_solving_near_the_main_diagonal(self, monkeypatch):
         # A certificate that never fires leaves every value right, so only
@@ -219,7 +245,8 @@ class TestShiftCertificate:
     def test_rows_past_the_shift_are_copies(self, monkeypatch, width, height):
         # Rows x2 >= T + 2m = 49 of {5,7} are built from the mirrors of
         # cells x1 < T + m and row x2 - m shifted by m, and solve nothing;
-        # past the width of a tall grid the mirrors come from periodic tails.
+        # past the width of a tall grid the mirrors are read from the last
+        # 2m cells of the certificate's rows.
         rs = Ruleset((5, 7))
         calls = _row_solves(monkeypatch, rs, width, height)
         assert [x2 for x2, _ in calls] == list(range(49))
@@ -285,9 +312,9 @@ class TestShiftCertificate:
         monkeypatch.setattr(multipile, "TABLE_HEAP_LIMIT", 400_000)
         solve, rows = multipile._solve_row, []
 
-        def spy(row, todo, *args):
-            rows.append(todo[0])
-            return solve(row, todo, *args)
+        def spy(row, first, *args):
+            rows.append(first)
+            return solve(row, first, *args)
 
         monkeypatch.setattr(multipile, "_solve_row", spy)
         with pytest.raises(ValueError, match="no two-pile shift certificate"):
@@ -556,9 +583,9 @@ def _row_solves(monkeypatch, ruleset, width, height):
     """(first solved x1, returned start) of each _solve_row call of one build."""
     solve, calls = multipile._solve_row, []
 
-    def spy(row, todo, *args):
-        start = solve(row, todo, *args)
-        calls.append((todo[0], start))
+    def spy(row, first, *args):
+        start = solve(row, first, *args)
+        calls.append((first, start))
         return start
 
     monkeypatch.setattr(multipile, "_solve_row", spy)

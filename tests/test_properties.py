@@ -347,9 +347,9 @@ certifying_grids = st.tuples(sized_action_sets(8), st.integers(24, 160), st.inte
 @example((Ruleset((1, 2, 3, 5, 8)), 60, 160))
 def test_certified_grid_rows_match_two_pile_oracle(shape):
     # Sides from 3 max S (the least start of a certified row) to 160: most
-    # rows certify, many right after their mirrored cells, and a tall grid
-    # reads certified off-grid mirrors, so the oracle checks every cell
-    # filled by period.
+    # rows certify, many right after their mirrored cells, and the rows of
+    # a tall grid past its width repeat as whole rows, so the oracle checks
+    # every cell and row filled by period.
     rs, width, height = shape
     assert build_grid(rs, width, height).values == two_pile_values(rs, width, height)
 
@@ -369,6 +369,30 @@ def test_shifted_grid_rows_match_two_pile_oracle(shape):
     # tall grid too.  The last two examples are too narrow for it: {5,7}
     # at width 60 certifies rows but not the shift, and {1,2,3,5,8} at
     # width 23, below 3 max S, certifies no row at all.
+    rs, width, height = shape
+    assert build_grid(rs, width, height).values == two_pile_values(rs, width, height)
+
+
+narrow_tall_strips = sized_action_sets(12).flatmap(
+    lambda rs: st.integers(1, 2 * rs.max_action + 3).flatmap(
+        lambda w: st.tuples(
+            st.just(rs), st.just(w), st.integers(w + 6 * rs.max_action, w + 16 * rs.max_action)
+        )
+    )
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(narrow_tall_strips)
+@example((Ruleset((5, 7)), 1, 200))
+@example((Ruleset((11, 12)), 27, 219))
+def test_narrow_tall_strip_rows_match_two_pile_oracle(shape):
+    # Strips at most 2 max S + 3 wide, too narrow for the shift
+    # certificate: rows past the width are solved until max S of them in
+    # a row equal the rows 2 max S below, and the rest repeat by period.
+    # {5,7} at width 1 has rows past the width below 2 max S, which have
+    # no row 2 max S below to compare; {11,12} repeats no whole row by
+    # height 219, so every row is solved.
     rs, width, height = shape
     assert build_grid(rs, width, height).values == two_pile_values(rs, width, height)
 
