@@ -29,12 +29,16 @@ copies every later row instead of solving it, and the certificate gives
 any cell of the infinite grid, from which the line reports read each
 line's least period and least start.  It alone settles the periodicity
 sweeps: row and column periods divide 2m, diagonal periods divide m.
+The exports read it too: where a row and the row m before it in the file
+are both at least T, most of the row is a slice of that row's encoding,
+and the distinct values are those of the rows below T + m.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
@@ -109,8 +113,13 @@ class GridOutcome:
 
     @cached_property
     def value_set(self) -> frozenset[int]:
-        """The distinct outcomes in the grid, scanned once per grid."""
-        return frozenset().union(*self.values)
+        """The distinct outcomes, read from the shift certificate's rows if any.
+
+        By the shift and symmetry, each cell of the infinite grid lies on
+        one of its rows x2 < T + m, the grid's own, and each of these
+        repeats with period 2m from a start at least 2m before the width.
+        """
+        return frozenset().union(*(self.shift.rows if self.shift else self.values))
 
     @cached_property
     def certificate(self) -> ShiftCertificate:
@@ -446,6 +455,40 @@ def _least_period_and_start(line: Sequence[int], end: int, lag: int) -> tuple[in
     return period, t
 
 
+def _encoded_rows(grid: GridOutcome, token: dict, sep: str | bytes, descending: bool) -> Iterator:
+    """Each row as sep.join of its cells' tokens, x2 ascending or descending.
+
+    With the shift certificate (T, m), cells [T, W - m) of a row y >= T
+    are cells [T + m, W) of row y + m.  So a row whose partner m rows back
+    in the output order is encoded takes that stretch from a slice of the
+    partner's encoding, and encodes only the cells outside it: the first
+    T + m going up, the first T and the last m going down.  A slice
+    offset is the summed widths of the partner's cell tokens before it,
+    each with its separator.  Only the last m encodings are held.
+    """
+    def encode(cells):
+        return sep.join(map(token.__getitem__, cells))
+
+    rows, shift, w = grid.values, grid.shift, grid.width
+    t, m = (shift.start, shift.m) if shift else (grid.height, 1)  # None: no row is past T
+    size = {v: len(tok) + len(sep) for v, tok in token.items()}
+    back = deque(maxlen=m)  # back[0] is the row m back in the output order
+    for y in range(grid.height - 1, -1, -1) if descending else range(grid.height):
+        row = rows[y]
+        if descending and y >= t and len(back) == m:  # partner y + m
+            cut = sum(map(size.__getitem__, rows[y + m][:t + m]))
+            line = sep.join((encode(row[:t]), back[0][cut:], encode(row[w - m:])))
+        elif not descending and y >= t + m:  # partner y - m
+            partner = rows[y - m]
+            cut = sum(map(size.__getitem__, partner[:t]))
+            end = len(back[0]) - sum(map(size.__getitem__, partner[w - m:]))
+            line = sep.join((encode(row[:t + m]), back[0][cut:end]))
+        else:
+            line = encode(row)
+        back.append(line)
+        yield line
+
+
 def _write_pnm(grid: GridOutcome, path: str, color: bool) -> None:
     m = grid.ruleset.max_action
     magic = "P6" if color else "P5"
@@ -459,8 +502,7 @@ def _write_pnm(grid: GridOutcome, path: str, color: bool) -> None:
         fh.write(header)
         # Image rows run top to bottom, so emit x2 descending: row 0 lands
         # at the bottom, matching plot-style axis orientation.
-        for row in reversed(grid.values):
-            fh.write(b"".join(map(pixel.__getitem__, row)))
+        fh.writelines(_encoded_rows(grid, pixel, b"", descending=True))
 
 
 def export_grid(grid: GridOutcome, fmt: str, path: str) -> None:
@@ -472,8 +514,8 @@ def export_grid(grid: GridOutcome, fmt: str, path: str) -> None:
     if fmt == "csv":
         text = {v: str(v) for v in grid.value_set}
         with open(path, "w", encoding=_CSV_ENCODING, newline="\n") as fh:
-            for row in grid.values:
-                fh.write(",".join(map(text.__getitem__, row)))
+            for line in _encoded_rows(grid, text, ",", descending=False):
+                fh.write(line)
                 fh.write("\n")
     elif fmt == "pgm":
         _write_pnm(grid, path, color=False)

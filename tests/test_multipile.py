@@ -12,6 +12,7 @@ asked about.
 
 from __future__ import annotations
 
+import functools
 import time
 import tracemalloc
 
@@ -508,6 +509,34 @@ class TestPeriodicityReports:
         assert huge["diagonals"]["swept_space"]["diagonals"] > 0
 
 
+# (actions, width, height, shift start T or None).  The shift certificate
+# fires on all but the first, so most of their rows are written from the
+# row max S below or above; {3,4,11} is tall, and {1,12} has two-digit CSV
+# values.  Row 0 of {5,8,12} lacks 5 of its 13 values, which first show
+# by row 10, so its value set needs more than the first rows.
+_EXPORT_GRIDS = [
+    ((2, 3, 5), 37, 23, None),
+    ((5, 7), 120, 90, 35),
+    ((2, 3), 60, 60, 5),
+    ((3, 4, 11), 200, 300, 11),
+    ((1, 12), 150, 150, 12),
+    ((5, 8, 12), 140, 100, 36),
+]
+
+
+def _grid_id(shape):
+    actions, width, height, _ = shape
+    return f"{'_'.join(map(str, actions))}-{width}x{height}"
+
+
+@functools.cache
+def _export_grid(shape):
+    actions, width, height, start = shape
+    grid = build_grid(Ruleset(actions), width, height)
+    assert (grid.shift and grid.shift.start) == start
+    return grid
+
+
 class TestExports:
     def test_csv_round_trip(self, grid23, tmp_path):
         path = tmp_path / "grid.csv"
@@ -553,14 +582,28 @@ class TestExports:
         assert grid23.values[0][0] == 0 and pixel(0, 0) == (0, 0, 255)
         assert grid23.values[0][3] == 3 and pixel(3, 0) == (255, 0, 0)
 
-    @pytest.mark.parametrize("fmt", ["csv", "pgm", "ppm"])
-    def test_bytes_match_per_cell_writer(self, fmt, tmp_path):
-        # Non-square, three actions: rows, columns and the image flip all
-        # have to line up.  The reference writes one cell at a time.
-        grid = build_grid(Ruleset((2, 3, 5)), 37, 23)
+    @pytest.mark.parametrize(
+        "shape, fmt",
+        [
+            # The unshifted grid keeps the bare format as its id.
+            pytest.param(shape, fmt, id=f"{_grid_id(shape)}-{fmt}" if shape[3] else fmt)
+            for shape in _EXPORT_GRIDS
+            for fmt in ("csv", "pgm", "ppm")
+        ],
+    )
+    def test_bytes_match_per_cell_writer(self, shape, fmt, tmp_path):
+        # Rows, columns and the image flip all have to line up, with the
+        # shift certificate and without.  The reference writes one cell at
+        # a time.
+        grid = _export_grid(shape)
         path = tmp_path / f"grid.{fmt}"
         export_grid(grid, fmt, str(path))
         assert path.read_bytes() == _reference_export(grid, fmt)
+
+    @pytest.mark.parametrize("shape", _EXPORT_GRIDS, ids=_grid_id)
+    def test_value_set_matches_every_cell(self, shape):
+        grid = _export_grid(shape)
+        assert grid.value_set == frozenset(v for row in grid.values for v in row)
 
     def test_pixel_level_out_of_range_rejected_before_writing(self, tmp_path):
         grid = GridOutcome(Ruleset((2, 3)), 2, 1, ((0, -1),))

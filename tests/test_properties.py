@@ -1,7 +1,7 @@
 """Property tests: closed forms, the complementary strategy, line periods,
 the convergence and period certificates, resumed tables and their
-period-filled tails, the optimal-action tie-break, two-pile grids and
-both minimax oracles against independent computations.
+period-filled tails, the optimal-action tie-break, two-pile grids, their
+exports, and both minimax oracles against independent computations.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 checks the same cases.
@@ -27,6 +27,7 @@ from cumsub import (
     convergence_point,
     default_x_max,
     eventual_period,
+    export_grid,
     minimax_values,
     row_period,
     two_action_opt,
@@ -34,6 +35,7 @@ from cumsub import (
     two_action_outcome,
 )
 from cumsub.analysis import _trace_summaries
+from test_multipile import _reference_export
 
 pairs = st.integers(2, 80).flatmap(lambda s1: st.tuples(st.integers(1, s1 - 1), st.just(s1)))
 
@@ -371,6 +373,30 @@ def test_shifted_grid_rows_match_two_pile_oracle(shape):
     # width 23, below 3 max S, certifies no row at all.
     rs, width, height = shape
     assert build_grid(rs, width, height).values == two_pile_values(rs, width, height)
+
+
+export_sides = st.one_of(st.integers(1, 60), st.integers(61, 150))
+export_shapes = st.tuples(
+    sized_action_sets(9), export_sides, export_sides, st.sampled_from(["csv", "pgm", "ppm"])
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(shape=export_shapes)
+@example(shape=(Ruleset((5, 7)), 130, 60, "csv"))
+@example(shape=(Ruleset((5, 7)), 60, 130, "ppm"))
+@example(shape=(Ruleset((2, 3, 5)), 80, 150, "pgm"))
+def test_export_matches_per_cell_writer(tmp_path_factory, shape):
+    # Sides up to 150 put max S <= 9 grids on both sides of the shift
+    # certificate: where it fires, most rows are written as slices of the
+    # row max S before them in the output.  {5,7} fires at
+    # 130x60 but not at 60x130; {2,3,5} fires on a tall grid.
+    rs, width, height, fmt = shape
+    grid = build_grid(rs, width, height)
+    assert grid.value_set == frozenset(v for row in grid.values for v in row)
+    path = tmp_path_factory.mktemp("export") / f"grid.{fmt}"
+    export_grid(grid, fmt, str(path))
+    assert path.read_bytes() == _reference_export(grid, fmt)
 
 
 narrow_tall_strips = sized_action_sets(12).flatmap(
