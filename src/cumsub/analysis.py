@@ -4,11 +4,11 @@ Every game with at least two actions eventually settles: from some heap
 size onward the optimal action is constantly the largest action, and
 that happens no later than 2*(max S)^2.  Past that point the outcome
 sequence is periodic with period dividing 2*max S.  This module locates
-the convergence point, stopping the table as soon as its greedy_from
-lies 2*max S heaps below its top, which proves that opt stays max S on
-every larger heap; it also certifies the eventual period and provides
-falsification sweeps for observed regularities of optimal play (who
-sacrifices, who moves last, how large sacrifices are).
+the convergence point in one DP pass that stops once its greedy_from
+lies 4*max S heaps below its top; 2*max S of them prove that opt stays
+max S on every larger heap.  It also certifies the eventual period and
+provides falsification sweeps for observed regularities of optimal play
+(who sacrifices, who moves last, how large sacrifices are).
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ from itertools import compress
 from operator import mul
 from typing import Iterable
 
+from . import core
 from .core import (
     OutcomeTable,
     PlayTrace,
     Report,
     Ruleset,
     _fill_period,
+    _solved_table,
     build_outcome_table,
     canonical_trace,
     rulesets_with_max_at_most,
@@ -88,41 +90,38 @@ class SacrificeFinding(Report):
 def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> ConvergenceReport:
     """Smallest heap from which the optimal action is constant onward.
 
-    The constant action is always max S.  The search starts from the
-    caller's table of this ruleset, extended to 8*max S heaps if shorter
-    (a table of another ruleset raises ValueError), or from a fresh one of
-    8*max S heaps, and grows it in place, doubling up to default_x_max,
-    until its greedy_from lies at least 2*max S heaps below its top.  That
-    run certifies opt = max S on every heap from xi = greedy_from on, not
-    just inside the table (see build_outcome_table), so the report is the
-    same whatever table the caller passes.  A non-greedy opt beyond the
-    proven bound 2*(max S)^2, or no certificate by default_x_max, is a
-    theorem violation.  The builder solves the 4*max S heaps from xi by DP
-    and fills only above them, so the period check reads no filled heap:
-    the same table, grown to xi + 4*max S heaps if shorter, certifies the
-    period from xi (see eventual_period), and failing there is a theorem
-    violation too.
+    The constant action is always max S.  A caller's table of this
+    ruleset is read when it reaches greedy_from + 4*max S - 1 or
+    default_x_max (a table of another ruleset raises ValueError).
+    Otherwise one DP pass from heap 0 stops once greedy_from lies 4*max S
+    heaps below its top, or at default_x_max.  The first 2*max S heaps
+    of that run certify opt = max S on every heap from xi = greedy_from
+    on (see build_outcome_table), so the report is the same whatever
+    table the caller passes, and all 4*max S are solved, never filled,
+    and certify the period from xi (see eventual_period).  A certificate
+    past TABLE_HEAP_LIMIT heaps raises ValueError, with no heap solved
+    when 5*max S exceeds that limit.  A non-greedy opt beyond the proven
+    bound 2*(max S)^2, no certificate by default_x_max, or no period from
+    xi is a theorem violation.
     """
     m = ruleset.max_action
     bound = convergence_bound(ruleset)
     cap = default_x_max(ruleset)
-    if table is None or table.x_max < 8 * m:
-        table = build_outcome_table(ruleset, 8 * m, table)
-    elif table.ruleset != ruleset:
+    if table is not None and table.ruleset != ruleset:
         raise ValueError("supplied table is not a prefix of this one")
-    while table.greedy_from > table.x_max + 1 - 2 * m:
-        if table.x_max >= cap:
-            raise TheoremViolationError(
-                f"no convergence certificate by heap {table.x_max} for {ruleset}"
-            )
-        table = build_outcome_table(ruleset, min(2 * table.x_max, cap), table)
+    if table is None or table.x_max < min(table.greedy_from + 4 * m - 1, cap):
+        limit = min(cap, core.TABLE_HEAP_LIMIT - 1)
+        if 5 * m - 1 <= limit:  # xi >= max S, so the run ends at 5*max S - 1 or later
+            table = _solved_table(ruleset, limit, 0)
+        if table is None or table.x_max < min(table.greedy_from + 4 * m - 1, cap):
+            raise ValueError(f"the convergence certificate of {ruleset} lies above the supported {core.TABLE_HEAP_LIMIT} heaps")
+    if table.greedy_from > table.x_max + 1 - 2 * m:
+        raise TheoremViolationError(f"no convergence certificate by heap {table.x_max} for {ruleset}")
     xi = table.greedy_from
     if xi > bound:
         raise TheoremViolationError(
             f"xi = {xi}, opt({xi - 1}) = {table.opts[xi - 1]} != {m}: beyond the convergence bound {bound} for {ruleset}"
         )
-    if table.x_max < xi + 4 * m:
-        table = build_outcome_table(ruleset, xi + 4 * m, table)
     try:
         period = eventual_period(table, xi)
     except ValueError as exc:
@@ -139,7 +138,8 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
 def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
     """Least p with o(x) = o(x+p) on every heap x >= tail_start, certified.
 
-    The table must reach tail_start + 4*max S.  Eventually o has period
+    The table must hold the 4*max S heaps from tail_start, so its x_max
+    must reach tail_start + 4*max S - 1.  Eventually o has period
     2*max S, so by the Fine-Wilf lemma (1965) its least period divides
     2*max S, and only those divisors are tried, on the 4*max S heaps from
     tail_start.  Each o(x) with x >= max S depends only on the max S values
@@ -152,9 +152,9 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
     m = table.ruleset.max_action
     if tail_start < 0 or tail_start > table.x_max:
         raise ValueError(f"tail_start {tail_start} outside table range 0..{table.x_max}")
-    if tail_start + 4 * m > table.x_max:
+    if tail_start + 4 * m - 1 > table.x_max:
         raise ValueError(
-            f"window too small: need tail_start + {4 * m} <= x_max, "
+            f"window too small: need tail_start + {4 * m - 1} <= x_max, "
             f"got tail_start={tail_start}, x_max={table.x_max}"
         )
     tail = table.outcomes[tail_start:tail_start + 4 * m]

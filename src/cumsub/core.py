@@ -8,9 +8,9 @@ than the least action.  Positive moves first and maximizes the final
 score, Negative minimizes it.
 
 This module holds the ground truth for everything else in the package:
-the outcome/optimal-action table computed by dynamic programming, an
-independently implemented minimax oracle used to cross-check that table,
-and canonical optimal-play traces.
+the outcome/optimal-action table, solved in one pass up to a certificate
+and filled by period past it, an independently implemented minimax
+oracle used to cross-check that table, and canonical optimal-play traces.
 """
 
 from __future__ import annotations
@@ -181,16 +181,14 @@ def _check_x_max(x_max: int) -> None:
         )
 
 
-def _table_generic(ruleset: Ruleset, o: list[int], opts: list[int | None], start: int, last: int) -> int:
-    """Solve heaps from start on; stop once 4*max S heaps in a row have opt max S.
+def _table_generic(ruleset: Ruleset, limit: int) -> tuple[list[int], list[int | None], int]:
+    """Solve heaps 0..limit in order; stop once 4*max S heaps in a row have opt max S.
 
-    last is the last heap below the first solved one whose opt is not
-    max S, terminal heaps included, and the last such heap up to the stop
-    is returned.  Solving stops at heap last + 4*max S, or at the top heap
-    if no such run occurs.  The run is 4*max S rather than the 2*max S
-    that certifies the tail, so that the 4*max S heaps from xi that
-    eventual_period reads in convergence_point's self-check are all
-    solved here, never filled.
+    Returns o and opts, grown heap by heap up to that stop or to limit,
+    and the last heap in them whose opt is not max S, terminal heaps
+    included.  The run is 4*max S rather than the 2*max S that certifies
+    the tail, so that the 4*max S heaps from xi that eventual_period reads
+    in convergence_point's self-check are all solved here, never filled.
 
     The largest playable action seeds best: max S from heap max S on,
     and below it the largest action bisect finds playable.  The other
@@ -200,7 +198,12 @@ def _table_generic(ruleset: Ruleset, o: list[int], opts: list[int | None], start
     acts = ruleset.actions
     m = ruleset.max_action
     desc = acts[-2::-1]  # the actions below max S, largest first
-    for x in range(max(ruleset.min_action, start), len(o)):
+    first = min(ruleset.min_action, limit + 1)
+    o: list[int] = [0] * first
+    opts: list[int | None] = [None] * first
+    last = first - 1
+    run = 4 * m
+    for x in range(first, limit + 1):
         if x >= m:
             best_s, rest = m, desc
         else:
@@ -211,37 +214,34 @@ def _table_generic(ruleset: Ruleset, o: list[int], opts: list[int | None], start
             v = s - o[x - s]
             if v > best:
                 best, best_s = v, s
-        o[x] = best
-        opts[x] = best_s
+        o.append(best)
+        opts.append(best_s)
         if best_s != m:
             last = x
-        elif x - last >= 4 * m:
+        elif x - last >= run:
             break
-    return last
+    return o, opts, last
 
 
-def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], start: int, last: int) -> int:
+def _table_contiguous(ruleset: Ruleset, limit: int) -> tuple[list[int], list[int | None], int]:
     """Sliding-window variant for contiguous action sets {lo, ..., hi}.
 
     With g(y) = y + o(y), the recursion becomes o(x) = x - min g(y) over
     the window x-hi <= y <= x-lo, so a monotone deque gives each entry in
     amortized O(1).  The deque keeps the smallest y among equal g values
-    in front, which reproduces the largest-action tie-break exactly.  From
-    a resumed start, the deque is refilled from the solved heaps in
-    [start-hi, start-lo); g(y) = y on terminal heaps, where o = 0.  Stops
-    and returns as _table_generic does.
+    in front, which reproduces the largest-action tie-break exactly.
+    g(y) = y on terminal heaps, where o = 0.  Stops and returns as
+    _table_generic does.
     """
     lo, hi = ruleset.min_action, ruleset.max_action
-    first = max(lo, start)
-    g: list[int] = [0] * len(o)
+    first = min(lo, limit + 1)
+    o: list[int] = [0] * first
+    opts: list[int | None] = [None] * first
+    g: list[int] = list(range(first))
+    last = first - 1
+    run = 4 * hi
     window: deque[int] = deque()
-    for y in range(max(0, start - hi), min(first, len(o))):
-        g[y] = y + o[y]
-        if y < start - lo:
-            while window and g[window[-1]] > g[y]:
-                window.pop()
-            window.append(y)
-    for x in range(first, len(o)):
+    for x in range(first, limit + 1):
         y_new = x - lo
         while window and g[window[-1]] > g[y_new]:
             window.pop()
@@ -250,14 +250,17 @@ def _table_contiguous(ruleset: Ruleset, o: list[int], opts: list[int | None], st
         while window[0] < cut:
             window.popleft()
         y = window[0]
-        o[x] = x - g[y]
-        opts[x] = x - y
-        g[x] = x + o[x]
+        v = x - g[y]
+        o.append(v)
+        g.append(x + v)
         if y != cut:
+            opts.append(x - y)
             last = x
-        elif x - last >= 4 * hi:
-            break
-    return last
+        else:
+            opts.append(hi)  # one shared int object, not a new one per heap
+            if x - last >= run:
+                break
+    return o, opts, last
 
 
 def _fill_period(seq: list, start: int, lag: int) -> None:
@@ -272,45 +275,41 @@ def _period_cell(x: int, start: int, lag: int) -> int:
     return start - lag + (x - start) % lag
 
 
-def build_outcome_table(ruleset: Ruleset, x_max: int, table: OutcomeTable | None = None) -> OutcomeTable:
+def build_outcome_table(ruleset: Ruleset, x_max: int) -> OutcomeTable:
     """Solve the game exactly for every heap 0..x_max.
 
     Terminal heaps get outcome 0 and no action.  Elsewhere
     o(x) = max(s - o(x-s)) over playable s, and opt(x) is the largest
-    maximizing action, so traces driven by opt are deterministic.  Given
-    a smaller table of the same ruleset, only the heaps above its x_max
-    are computed, resuming from its greedy_from; the result is the table
-    a fresh call would build.
+    maximizing action, so traces driven by opt are deterministic.
 
-    The DP stops at the first heap n that ends a run of 4*max S heaps
-    with opt = m = max S (or at x_max), and heaps above n are filled by
-    period 2m: o(x) = o(x-2m) and opt(x) = m.  That is exact.  opt = m
-    on 2m consecutive heaps, all at or above m since m is not playable
-    below it, gives o(x) = m - o(x-m) = o(x-2m) on the top m of them.
-    For x >= m, o(x) and opt(x) depend only on the window o[x-m .. x-1],
-    so the window above n repeats the one 2m heaps lower, and with it
-    every later value.  A smaller table that already ends in such a run
-    is only filled.
+    The DP solves heaps from 0 in one pass and stops at the first heap n
+    that ends a run of 4*max S heaps with opt = m = max S (or at x_max),
+    and heaps above n are filled by period 2m: o(x) = o(x-2m) and
+    opt(x) = m.  That is exact.  opt = m on 2m consecutive heaps, all at
+    or above m since m is not playable below it, gives
+    o(x) = m - o(x-m) = o(x-2m) on the top m of them.  For x >= m, o(x)
+    and opt(x) depend only on the window o[x-m .. x-1], so the window
+    above n repeats the one 2m heaps lower, and with it every later value.
     """
     _check_x_max(x_max)
-    done = table or OutcomeTable(ruleset, -1, (), (), 0)
-    if done.ruleset != ruleset or done.x_max > x_max:
-        raise ValueError("supplied table is not a prefix of this one")
-    m = ruleset.max_action
-    n = done.x_max
-    # The last heap whose opt is not m; the terminal heaps count.
-    last = max(done.greedy_from, min(ruleset.min_action, x_max + 1)) - 1
-    o: list[int] = [*done.outcomes, *[0] * (x_max - n)]
-    opts: list[int | None] = [*done.opts, *[None] * (x_max - n)]
-    if n - last < 4 * m:
-        kernel = _table_contiguous if ruleset.is_contiguous else _table_generic
-        last = kernel(ruleset, o, opts, n + 1, last)
-        n = min(last + 4 * m, x_max)
-    _fill_period(o, n + 1, 2 * m)
-    opts[n + 1:] = [m] * (x_max - n)
-    return OutcomeTable(
-        ruleset=ruleset, x_max=x_max, outcomes=tuple(o), opts=tuple(opts), greedy_from=last + 1
-    )
+    return _solved_table(ruleset, x_max, x_max)
+
+
+def _solved_table(ruleset: Ruleset, limit: int, x_max: int) -> OutcomeTable:
+    """One kernel pass over heaps 0..limit, then a fill by period up to x_max.
+
+    The table ends at x_max or at the kernel's stop, whichever is larger,
+    so x_max = 0 gives the solved heaps alone (see build_outcome_table).
+    """
+    kernel = _table_contiguous if ruleset.is_contiguous else _table_generic
+    o, opts, last = kernel(ruleset, limit)
+    n, m = len(o), ruleset.max_action
+    o += [0] * (x_max + 1 - n)
+    _fill_period(o, n, 2 * m)
+    opts += [m] * (x_max + 1 - n)
+    outcomes = tuple(o)
+    del o  # one list at a time: never both lists and both tuples at once
+    return OutcomeTable(ruleset, len(outcomes) - 1, outcomes, tuple(opts), greedy_from=last + 1)
 
 
 def minimax_values(ruleset: Ruleset, x_max: int) -> tuple[int, ...]:

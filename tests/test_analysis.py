@@ -31,7 +31,7 @@ from cumsub import (
     sacrifice_conjecture_report,
     scan_sacrifice_conjecture,
 )
-from cumsub import analysis
+from cumsub import analysis, core
 
 
 def naive_minimal_period(values, tail_start, p_cap):
@@ -41,6 +41,22 @@ def naive_minimal_period(values, tail_start, p_cap):
         if all(values[x] == values[x + p] for x in range(tail_start, top - p + 1)):
             return p
     return None
+
+
+def _record_kernel_calls(monkeypatch):
+    """Wrap both DP kernels; the list returned collects each call's table length."""
+    lengths = []
+
+    def recording(kernel):
+        def run(ruleset, limit):
+            o, opts, last = kernel(ruleset, limit)
+            lengths.append(len(o))
+            return o, opts, last
+        return run
+
+    for name in ("_table_contiguous", "_table_generic"):
+        monkeypatch.setattr(core, name, recording(getattr(core, name)))
+    return lengths
 
 
 class TestConvergencePoint:
@@ -75,19 +91,26 @@ class TestConvergencePoint:
         small = build_outcome_table(rs, 40)
         assert convergence_point(rs, small).xi == 31
 
-    def test_extends_short_table_of_same_ruleset(self, monkeypatch):
-        # A table shorter than 8*max S is grown from, not thrown away.
-        rs = Ruleset((5, 7))
-        small = build_outcome_table(rs, 40)
-        given = []
+    def test_refuses_a_certificate_past_the_heap_cap(self, monkeypatch):
+        # {29,30} certifies xi = 1682, past a 1000-heap cap, so it is
+        # refused; {1..30} certifies under the cap although its
+        # default_x_max, 1920, lies above it.
+        monkeypatch.setattr(core, "TABLE_HEAP_LIMIT", 1000)
+        with pytest.raises(ValueError, match="above the supported"):
+            convergence_point(Ruleset((29, 30)))
+        full = Ruleset(tuple(range(1, 31)))
+        assert default_x_max(full) > 1000
+        assert convergence_point(full).xi == 30
 
-        def recording(ruleset, x_max, table=None):
-            given.append(table)
-            return build_outcome_table(ruleset, x_max, table)
-
-        monkeypatch.setattr("cumsub.analysis.build_outcome_table", recording)
-        assert convergence_point(rs, small).xi == 31
-        assert given[0] is small
+    def test_refuses_a_large_max_s_before_solving(self, monkeypatch):
+        # xi >= max S, so {1,201}'s run ends at heap 5*201 - 1 = 1004 or
+        # later: past a 1000-heap cap, and no heap needs solving to know it.
+        monkeypatch.setattr(core, "TABLE_HEAP_LIMIT", 1000)
+        lengths = _record_kernel_calls(monkeypatch)
+        with pytest.raises(ValueError, match="above the supported"):
+            convergence_point(Ruleset((1, 201)))
+        assert lengths == []
+        assert convergence_point(Ruleset((1, 200))).xi == 200
 
     def test_rejects_table_of_another_ruleset(self):
         other = build_outcome_table(Ruleset((4, 7)), default_x_max(Ruleset((5, 7))))
@@ -174,25 +197,22 @@ class TestConvergencePoint:
             long = build_outcome_table(rs, 3 * default_x_max(rs))
             assert convergence_point(rs, long) == convergence_point(rs), rs
 
-    def test_grows_one_table_in_place(self, monkeypatch):
-        # Every DP call extends the table the previous one returned, so no
-        # heap is solved twice.
-        given, built = [], []
-
-        def recording(ruleset, x_max, table=None):
-            given.append(table)
-            built.append(build_outcome_table(ruleset, x_max, table))
-            return built[-1]
-
-        monkeypatch.setattr("cumsub.analysis.build_outcome_table", recording)
+    def test_one_pass_to_the_certificate(self, monkeypatch):
+        # One kernel call solves heaps 0..xi + 4*max S - 1 and stops; a
+        # caller's table that holds those heaps is read with no call, and
+        # one a heap short of them is solved again.
         rs = Ruleset((99, 100))
+        xi = 2 * 99**2
+        window = build_outcome_table(rs, xi + 4 * 100 - 1)
+        short = build_outcome_table(rs, xi + 4 * 100 - 2)
+        lengths = _record_kernel_calls(monkeypatch)
         report = convergence_point(rs)
-        assert report.xi == 2 * 99**2
-        assert len(built) > 2
-        assert given[0] is None
-        assert all(table is previous for table, previous in zip(given[1:], built))
-        assert built[-1] == build_outcome_table(rs, built[-1].x_max)
-        assert built[-1].x_max >= report.xi + 4 * 100
+        assert report.xi == xi
+        assert lengths == [xi + 4 * 100]
+        assert convergence_point(rs, window) == report
+        assert lengths == [xi + 4 * 100]
+        assert convergence_point(rs, short) == report
+        assert lengths == [xi + 4 * 100] * 2
 
 
 class TestEventualPeriod:
@@ -242,9 +262,11 @@ class TestEventualPeriod:
         assert not isinstance(info.value, TheoremViolationError)
 
     def test_window_too_small_rejected(self):
-        table = build_outcome_table(Ruleset((5, 7)), 50)
-        with pytest.raises(ValueError):
-            eventual_period(table, 31)  # needs 31 + 28 <= x_max
+        # The window is the 4*7 heaps 31..58: x_max 58 holds it, 57 does not.
+        rs = Ruleset((5, 7))
+        assert eventual_period(build_outcome_table(rs, 58), 31).period == 14
+        with pytest.raises(ValueError, match="window too small"):
+            eventual_period(build_outcome_table(rs, 57), 31)
 
     def test_tail_start_out_of_range(self):
         table = build_outcome_table(Ruleset((5, 7)), 126)

@@ -170,20 +170,14 @@ class TestOutcomeTable:
         with pytest.raises(ValueError, match="above the supported"):
             build_outcome_table(Ruleset((5, 7)), 1 << 40)
 
-    def test_extends_supplied_table(self):
+    def test_shorter_table_is_a_prefix(self):
+        # Every x_max ends the pass at its own heap or at the certificate,
+        # whichever comes first, and the rest is filled by period.
         rs = Ruleset((5, 7))
-        assert build_outcome_table(rs, 55, build_outcome_table(rs, 20)).outcomes == O_57
-        assert build_outcome_table(rs, 55, build_outcome_table(rs, 55)).opts == OPT_57
-
-    def test_rejects_table_of_another_ruleset(self):
-        other = build_outcome_table(Ruleset((2, 3)), 10)
-        with pytest.raises(ValueError, match="not a prefix"):
-            build_outcome_table(Ruleset((5, 7)), 55, other)
-
-    def test_rejects_table_larger_than_x_max(self):
-        rs = Ruleset((5, 7))
-        with pytest.raises(ValueError, match="not a prefix"):
-            build_outcome_table(rs, 20, build_outcome_table(rs, 21))
+        for k in range(56):
+            table = build_outcome_table(rs, k)
+            assert table.outcomes == O_57[:k + 1], k
+            assert table.opts == OPT_57[:k + 1], k
 
     def test_rejects_table_above_heap_count_limit(self):
         # Refused before any list is allocated, so this costs nothing.
@@ -227,13 +221,11 @@ class TestPeriodHelpers:
         assert _period_cell(x, 6, self.LAG) == cell
 
 
-def _kernel_table(kernel, rs, x_max):
+def _kernel_table(kernel, rs, limit):
     """Run one DP kernel from heap 0 until it stops: (last non-greedy heap,
-    o, opt) up to the stop, 4*max S heaps above that heap."""
-    o, opts = [0] * (x_max + 1), [None] * (x_max + 1)
-    last = kernel(rs, o, opts, 0, -1)
-    stop = last + 4 * rs.max_action
-    return last, o[:stop + 1], opts[:stop + 1]
+    o, opt), which end at the stop or at limit."""
+    o, opts, last = kernel(rs, limit)
+    return last, o, opts
 
 
 class TestContiguousFastPath:
@@ -256,6 +248,10 @@ class TestContiguousFastPath:
         assert opts[last] != m
         assert opts[last + 1:] == [m] * (4 * m)
         assert build_outcome_table(rs, 250).greedy_from == last + 1
+        # A limit one heap short of the stop ends the lists there instead.
+        for kernel in (_table_contiguous, _table_generic):
+            short = _kernel_table(kernel, rs, last + 4 * m - 1)
+            assert short == (last, fast[1][:-1], opts[:-1])
 
     def test_build_routes_to_fast_path(self):
         # Same result through the public entry point, against references

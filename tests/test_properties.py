@@ -1,7 +1,7 @@
 """Property tests: closed forms, the complementary strategy, line periods,
-the convergence and period certificates, resumed tables and their
-period-filled tails, the optimal-action tie-break, two-pile grids, their
-exports, and both minimax oracles against independent computations.
+the convergence and period certificates, tables of every length and
+their period-filled tails, the optimal-action tie-break, two-pile grids,
+their exports, and both minimax oracles against independent computations.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 checks the same cases.
@@ -240,27 +240,12 @@ contiguous_rulesets = st.integers(2, 12).flatmap(
 )
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(st.one_of(rulesets, contiguous_rulesets), st.integers(0, 300), st.data())
-def test_resumed_table_equals_fresh_table(rs, n, data):
-    # Split below min S, below max S (inside the first window), or anywhere.
-    lo, hi = rs.min_action, rs.max_action
-    k = data.draw(st.one_of(st.integers(0, lo - 1), st.integers(0, hi - 1), st.integers(0, n)))
-    k = min(k, n)
-    fresh = build_outcome_table(rs, n)
-    assert build_outcome_table(rs, n, build_outcome_table(rs, k)) == fresh
-    greedy_from = n + 1
-    while greedy_from > 0 and fresh.opts[greedy_from - 1] == hi:
-        greedy_from -= 1
-    assert fresh.greedy_from == greedy_from
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.one_of(wide_rulesets, contiguous_rulesets), st.data())
 def test_certified_tail_matches_independent_references(rs, data):
     # Past the run of 4*max S heaps with opt = max S that stops the DP, the
-    # table is filled by period; fresh and resumed builds, split below,
-    # inside and after that run, must still equal the references everywhere.
+    # table is filled by period; tables ending below, inside and after that
+    # run must still equal the references on every heap they hold.
     m = rs.max_action
     x_max = 3 * default_x_max(rs)
     outcomes = minimax_values(rs, x_max)
@@ -271,12 +256,11 @@ def test_certified_tail_matches_independent_references(rs, data):
         data.draw(st.integers(last + 1, last + 4 * m)),
         data.draw(st.integers(last + 4 * m + 1, x_max)),
     ]
-    tables = [build_outcome_table(rs, x_max)]
-    tables += [build_outcome_table(rs, x_max, build_outcome_table(rs, k)) for k in splits]
-    for table in tables:
-        assert table.outcomes == outcomes
-        assert list(table.opts) == opts
-        assert table.greedy_from == last + 1
+    for k in (x_max, *splits):
+        table = build_outcome_table(rs, k)
+        assert table.outcomes == outcomes[:k + 1]
+        assert list(table.opts) == opts[:k + 1]
+        assert table.greedy_from == 1 + max(x for x, opt in enumerate(opts[:k + 1]) if opt != m)
 
 
 def _complementary_score(sol, table, x):
@@ -501,7 +485,8 @@ def test_oracles_share_no_code_with_the_builders():
     # The oracles are only independent while they call none of the code
     # they check.
     builders = {
-        "build_outcome_table", "_table_generic", "_table_contiguous", "greedy_from",
+        "build_outcome_table", "_solved_table", "_table_generic", "_table_contiguous",
+        "greedy_from",
         "build_grid", "_solve_row", "_solve_rows", "_shift_holds", "_certify_shift",
         "ShiftCertificate",
     }
