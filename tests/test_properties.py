@@ -240,6 +240,26 @@ contiguous_rulesets = st.integers(2, 12).flatmap(
 )
 
 
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.one_of(rulesets, contiguous_rulesets), st.integers(0, 300), st.data())
+def test_resumed_table_equals_fresh_table(rs, n, data):
+    # Split below min S, below max S (inside the first window), or anywhere.
+    # A short table is a prefix of a longer one, and convergence_point
+    # handed it re-solves to the report it gives with no table at all.
+    lo, hi = rs.min_action, rs.max_action
+    k = data.draw(st.one_of(st.integers(0, lo - 1), st.integers(0, hi - 1), st.integers(0, n)))
+    k = min(k, n)
+    fresh = build_outcome_table(rs, n)
+    short = build_outcome_table(rs, k)
+    assert short.outcomes == fresh.outcomes[:k + 1]
+    assert short.opts == fresh.opts[:k + 1]
+    assert convergence_point(rs, short) == convergence_point(rs)
+    greedy_from = n + 1
+    while greedy_from > 0 and fresh.opts[greedy_from - 1] == hi:
+        greedy_from -= 1
+    assert fresh.greedy_from == greedy_from
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.one_of(wide_rulesets, contiguous_rulesets), st.data())
 def test_certified_tail_matches_independent_references(rs, data):
