@@ -108,7 +108,7 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     bound = convergence_bound(ruleset)
     cap = default_x_max(ruleset)
     if table is not None and table.ruleset != ruleset:
-        raise ValueError("supplied table is not a prefix of this one")
+        raise ValueError(f"supplied table is for {table.ruleset}, not {ruleset}")
     if table is None or table.x_max < min(table.greedy_from + 4 * m - 1, cap):
         limit = min(cap, core.TABLE_HEAP_LIMIT - 1)
         if 5 * m - 1 <= limit:  # xi >= max S, so the run ends at 5*max S - 1 or later

@@ -25,13 +25,16 @@ tall grid are solved whole until they repeat by period 2 max S.
 A second certificate covers the whole plane: with m = max S, once the
 certified rows show o(x1 + m, x2 + m) = o(x1, x2) on a band of m rows
 from some T on, the shift holds for all x1, x2 >= T.  build_grid then
-copies every later row instead of solving it, and the certificate gives
-any cell of the infinite grid, from which the line reports read each
-line's least period and least start.  It alone settles the periodicity
-sweeps: row and column periods divide 2m, diagonal periods divide m.
-The exports read it too: where a row and the row m before it in the file
-are both at least T, most of the row is a slice of that row's encoding,
-and the distinct values are those of the rows below T + m.
+neither solves nor stores any later row: the grid keeps its T + 2m
+solved rows and the certificate, which gives any cell of the infinite
+grid, and GridOutcome.values builds the whole grid only when it is first
+read.  The line reports read each line's least period and least start
+from the certificate, and it alone settles the periodicity sweeps: row
+and column periods divide 2m, diagonal periods divide m.  The exports
+read it too: where a row and the row m before it in the file are both at
+least T, most of the row is a slice of that row's encoding, the rest is
+read from the certificate, and the distinct values are those of the rows
+below T + m.
 """
 
 from __future__ import annotations
@@ -93,15 +96,16 @@ class ShiftCertificate:
 class GridOutcome:
     """Outcomes o(x1, x2) for 0 <= x1 < width, 0 <= x2 < height.
 
-    values is indexed values[x2][x1]: one row per second-pile size.  shift
-    is the diagonal-shift certificate build_grid found in the grid's own
-    rows, or None.
+    rows are the rows x2 = 0, 1, ... that build_grid solved, indexed
+    rows[x2][x1].  shift is the diagonal-shift certificate build_grid found
+    in them, or None; without it, rows holds every row of the grid.  With
+    it, rows stops at T + 2m, and every cell is read from the certificate.
     """
 
     ruleset: Ruleset
     width: int
     height: int
-    values: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     shift: ShiftCertificate | None = field(default=None, compare=False, repr=False)
 
     def outcome(self, x1: int, x2: int) -> int:
@@ -109,7 +113,26 @@ class GridOutcome:
             raise ValueError(
                 f"position ({x1},{x2}) outside grid {self.width}x{self.height}"
             )
-        return self.values[x2][x1]
+        return self.shift.cell(x1, x2) if self.shift else self.rows[x2][x1]
+
+    @cached_property
+    def values(self) -> tuple[tuple[int, ...], ...]:
+        """Every row of the grid, indexed values[x2][x1]; built on first read.
+
+        Past the solved rows, row x2 >= T + 2m is two copies: its cells
+        x1 < T + m are their mirrors, and its cells x1 >= T + m are row
+        x2 - m shifted right by m.  (Cells T <= x1 < T + m are not shifts:
+        their twins (x1 - m, x2 - m) have a coordinate below T.)  A mirror
+        past the width is in the last 2m cells of a certificate row.
+        """
+        shift, width = self.shift, self.width
+        if shift is None:
+            return self.rows
+        m, t, rows = shift.m, shift.start, list(self.rows)
+        for x2 in range(len(rows), self.height):
+            j = x2 if x2 < width else _period_cell(x2, width, 2 * m)
+            rows.append(tuple(map(itemgetter(j), shift.rows)) + rows[x2 - m][t:width - m])
+        return tuple(rows)
 
     @cached_property
     def value_set(self) -> frozenset[int]:
@@ -119,7 +142,7 @@ class GridOutcome:
         one of its rows x2 < T + m, the grid's own, and each of these
         repeats with period 2m from a start at least 2m before the width.
         """
-        return frozenset().union(*(self.shift.rows if self.shift else self.values))
+        return frozenset().union(*(self.shift.rows if self.shift else self.rows))
 
     @cached_property
     def certificate(self) -> ShiftCertificate:
@@ -159,7 +182,9 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     cells x1 < x2 copy their mirrors (x2, x1) from the rows below; the
     rest are solved until the row is certified periodic, and the cells
     after that are filled by period.  Once the shift certificate below
-    fires, no later row is solved.
+    fires, no later row is solved, and none is stored: the grid keeps its
+    T + 2m solved rows and the certificate, and GridOutcome.values copies
+    the later rows only when it is first read.
 
     The row certificate.  Let m = max S.  Row x2 repeats with period 2m
     from X on, over the whole infinite row, when
@@ -197,10 +222,8 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     of [T + m, T + 2m); so once a row starts past W - 2m, no later T can
     fire, since each band holds that row or one a multiple of m above it.
 
-    Once it fires, row x2 >= T + 2m is two copies: its cells x1 < T + m
-    are their mirrors, and its cells x1 >= T + m are row x2 - m shifted
-    right by m.  (Cells T <= x1 < T + m are not shifts: their twins
-    (x1 - m, x2 - m) have a coordinate below T.)
+    Once it fires, each row x2 >= T + 2m is its mirrors and a shift of
+    row x2 - m; GridOutcome.values holds that copy rule.
 
     A tall grid's rows x2 >= W have every mirror off the grid.  Without
     the shift they are solved whole until max S of them in a row, each
@@ -214,12 +237,6 @@ def build_grid(ruleset: Ruleset, width: int, height: int) -> GridOutcome:
     """
     _check_grid(width, height)
     rows, shift = _solve_rows(ruleset.actions, width, height)
-    if shift is not None:  # every later row is a copy
-        m, lag, t = shift.m, 2 * shift.m, shift.start
-        for x2 in range(len(rows), height):
-            # x2 >= W: the mirror is in the last 2m cells of a certified row
-            j = x2 if x2 < width else _period_cell(x2, width, lag)
-            rows.append(tuple(map(itemgetter(j), shift.rows)) + rows[x2 - m][t:width - m])
     return GridOutcome(ruleset, width, height, tuple(rows), shift)
 
 
@@ -464,28 +481,78 @@ def _encoded_rows(grid: GridOutcome, token: dict, sep: str | bytes, descending: 
     partner's encoding, and encodes only the cells outside it: the first
     T + m going up, the first T and the last m going down.  A slice
     offset is the summed widths of the partner's cell tokens before it,
-    each with its separator.  Only the last m encodings are held.
+    each with its separator.  Only the last m encodings are held, each
+    with its row's first T + m and last m cells.
+
+    Rows y >= T + 2m are not stored.  Their first T + m cells are column y
+    of the certificate's rows by symmetry, read by period past the width.
+    Their last m cells (x1, y), W - m <= x1 < W, are cells (x1 - k, y - k)
+    for any multiple k of m that keeps both coordinates at least T.  Let
+    k0 be the one that puts W - m - k0 in [T, T + m).  Below y = T + k0,
+    the k that puts y - k in [T, T + m) makes them a slice of certificate
+    row y - k, inside the width.  From there on, k0 puts x1 - k0 in the
+    stored rows [T, T + 2m), and by symmetry they are column y - k0 of
+    those rows, read by period past the width: the shift check holds
+    each of these rows periodic from 2m before the width on.  The m rows
+    that the descending pass writes first have no partner; each is its
+    first T + m cells, then cells T .. T + m - 1 of the rows m, 2m, ...
+    below it, down to a stored row, whose cells from T on end it.
     """
     def encode(cells):
         return sep.join(map(token.__getitem__, cells))
 
-    rows, shift, w = grid.values, grid.shift, grid.width
-    t, m = (shift.start, shift.m) if shift else (grid.height, 1)  # None: no row is past T
+    rows, shift, w = grid.rows, grid.shift, grid.width
+    order = range(grid.height - 1, -1, -1) if descending else range(grid.height)
+    if shift is None:  # every row is stored and none is a shift
+        yield from (encode(rows[y]) for y in order)
+        return
+    t, m, n, cert = shift.start, shift.m, len(rows), shift.rows
+
+    # columns[j] is cells x1 < T + m of row j, by symmetry; only j < H is read.
+    columns = list(zip(*(row[:grid.height] for row in cert)))
+
+    def head(y):  # the first T + m cells of row y >= n
+        return columns[y if y < w else _period_cell(y, w, 2 * m)]
+
+    k0 = (w - m - t) // m * m
+    ends = rows[w - m - k0:w - k0]  # rows W - m .. W - 1 shifted down by k0
+
+    def tail(y):  # cells W - m .. W - 1 of row y >= n
+        if y < t + k0:  # a slice of certificate row y - k
+            k = (y - t) // m * m
+            return cert[y - k][w - m - k:w - k]
+        j = y - k0
+        return tuple(map(itemgetter(j if j < w else _period_cell(j, w, 2 * m)), ends))
+
     size = {v: len(tok) + len(sep) for v, tok in token.items()}
+
+    def span(cells):  # bytes or characters that cells take, each with its separator
+        return sum(map(size.__getitem__, cells))
+
     back = deque(maxlen=m)  # back[0] is the row m back in the output order
-    for y in range(grid.height - 1, -1, -1) if descending else range(grid.height):
-        row = rows[y]
-        if descending and y >= t and len(back) == m:  # partner y + m
-            cut = sum(map(size.__getitem__, rows[y + m][:t + m]))
-            line = sep.join((encode(row[:t]), back[0][cut:], encode(row[w - m:])))
-        elif not descending and y >= t + m:  # partner y - m
-            partner = rows[y - m]
-            cut = sum(map(size.__getitem__, partner[:t]))
-            end = len(back[0]) - sum(map(size.__getitem__, partner[w - m:]))
-            line = sep.join((encode(row[:t + m]), back[0][cut:end]))
+    for y in order:
+        if y < n:
+            first, last = rows[y][:t + m], rows[y][w - m:]
         else:
-            line = encode(row)
-        back.append(line)
+            first, last = head(y), tail(y)
+        if descending and y >= t and len(back) == m:  # partner y + m
+            partner, partner_first, _ = back[0]
+            line = sep.join((encode(first[:t]), partner[span(partner_first):], encode(last)))
+        elif not descending and y >= t + m:  # partner y - m
+            partner, partner_first, partner_last = back[0]
+            end = len(partner) - span(partner_last)
+            line = sep.join((encode(first), partner[span(partner_first[:t]):end]))
+        elif y < n:
+            line = encode(rows[y])
+        else:  # the top m rows going down
+            cells, z = list(first), y - m
+            while z >= n and len(cells) < w:
+                cells += head(z)[t:]
+                z -= m
+            if len(cells) < w:  # cell x1 of row y is cell x1 - (y - z) of row z
+                cells += rows[z][t:w - y + z]
+            line = encode(cells[:w])
+        back.append((line, first, last))
         yield line
 
 

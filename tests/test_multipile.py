@@ -513,7 +513,11 @@ class TestPeriodicityReports:
 # fires on all but the first, so most of their rows are written from the
 # row max S below or above; {3,4,11} is tall, and {1,12} has two-digit CSV
 # values.  Row 0 of {5,8,12} lacks 5 of its 13 values, which first show
-# by row 10, so its value set needs more than the first rows.
+# by row 10, so its value set needs more than the first rows.  Rows from
+# T + 2 max S on are not stored: the top rows of {5,7} at 300x300 are
+# written going down from the certificate alone, {5,7} at 400x120 is
+# wide, and {1,2,3,5,8} at 60x400 reads the first cells of its rows past
+# the width by period and their last cells by the shift.
 _EXPORT_GRIDS = [
     ((2, 3, 5), 37, 23, None),
     ((5, 7), 120, 90, 35),
@@ -521,6 +525,9 @@ _EXPORT_GRIDS = [
     ((3, 4, 11), 200, 300, 11),
     ((1, 12), 150, 150, 12),
     ((5, 8, 12), 140, 100, 36),
+    ((5, 7), 300, 300, 35),
+    ((5, 7), 400, 120, 35),
+    ((1, 2, 3, 5, 8), 60, 400, 8),
 ]
 
 
@@ -604,6 +611,44 @@ class TestExports:
     def test_value_set_matches_every_cell(self, shape):
         grid = _export_grid(shape)
         assert grid.value_set == frozenset(v for row in grid.values for v in row)
+
+    @pytest.mark.parametrize("shape", _EXPORT_GRIDS, ids=_grid_id)
+    def test_rows_encode_both_ways_with_tokens_of_any_width(self, shape):
+        # Image tokens all have one width, so only tokens of several widths
+        # show a slice offset taken from the wrong row going down.
+        grid = _export_grid(shape)
+        token = {v: "x" * (v + 1) for v in grid.value_set}
+        rows = [":".join(token[v] for v in row) for row in grid.values]
+        assert list(multipile._encoded_rows(grid, token, ":", descending=False)) == rows
+        assert list(multipile._encoded_rows(grid, token, ":", descending=True)) == rows[::-1]
+
+    @pytest.mark.parametrize("shape", _EXPORT_GRIDS, ids=_grid_id)
+    def test_outcome_matches_the_oracle(self, shape):
+        # outcome reads a certified grid's cells from the certificate, and
+        # the per-cell writer reads outcome.
+        grid = _export_grid(shape)
+        values = two_pile_values(grid.ruleset, grid.width, grid.height)
+        for x2, row in enumerate(values):
+            assert tuple(grid.outcome(x1, x2) for x1 in range(grid.width)) == row, x2
+
+    def test_certified_grid_builds_no_values_until_read(self, tmp_path):
+        # A certified grid stores only its T + 2 max S solved rows; line
+        # reports, the value set, single cells and every export read the
+        # certificate, and the whole grid is built only when values is.
+        rs = Ruleset((5, 7))
+        grid = build_grid(rs, 300, 300)
+        assert grid.shift.start == 35 and len(grid.rows) == 49
+        periodicity_reports(grid)
+        row_period(grid, 299)
+        column_period(grid, 299)
+        diagonal_period(grid, -299)
+        assert grid.value_set == frozenset(range(8))
+        assert grid.outcome(299, 298) == grid.outcome(298, 299)
+        for fmt in ("csv", "pgm", "ppm"):
+            export_grid(grid, fmt, str(tmp_path / f"grid.{fmt}"))
+        assert "values" not in grid.__dict__
+        assert grid.values == two_pile_values(rs, 300, 300)
+        assert grid.values[:49] == grid.rows
 
     def test_pixel_level_out_of_range_rejected_before_writing(self, tmp_path):
         grid = GridOutcome(Ruleset((2, 3)), 2, 1, ((0, -1),))

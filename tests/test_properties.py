@@ -390,11 +390,14 @@ export_shapes = st.tuples(
 @example(shape=(Ruleset((5, 7)), 130, 60, "csv"))
 @example(shape=(Ruleset((5, 7)), 60, 130, "ppm"))
 @example(shape=(Ruleset((2, 3, 5)), 80, 150, "pgm"))
+@example(shape=(Ruleset((1, 2, 3, 5, 8)), 60, 400, "pgm"))
 def test_export_matches_per_cell_writer(tmp_path_factory, shape):
     # Sides up to 150 put max S <= 9 grids on both sides of the shift
     # certificate: where it fires, most rows are written as slices of the
     # row max S before them in the output.  {5,7} fires at
     # 130x60 but not at 60x130; {2,3,5} fires on a tall grid.
+    # {1,2,3,5,8} at 60x400 stores rows below 24 only, so the rows past
+    # its width are written from the certificate.
     rs, width, height, fmt = shape
     grid = build_grid(rs, width, height)
     assert grid.value_set == frozenset(v for row in grid.values for v in row)
