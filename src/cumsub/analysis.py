@@ -8,7 +8,10 @@ the convergence point in one DP pass that stops once its greedy_from
 lies 4*max S heaps below its top; 2*max S of them prove that opt stays
 max S on every larger heap.  It also certifies the eventual period and
 provides falsification sweeps for observed regularities of optimal play
-(who sacrifices, who moves last, how large sacrifices are).
+(who sacrifices, who moves last, how large sacrifices are).  Those sweeps
+stop their DP pass at the 2*max S heaps that certify the tail, and read
+each start heap past greedy_from + max S from the one a multiple of
+2*max S below it.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from .core import (
     PlayTrace,
     Report,
     Ruleset,
-    _fill_period,
+    _period_cell,
     _solved_table,
-    build_outcome_table,
     canonical_trace,
     rulesets_with_max_at_most,
 )
@@ -112,7 +114,7 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     if table is None or table.x_max < min(table.greedy_from + 4 * m - 1, cap):
         limit = min(cap, core.TABLE_HEAP_LIMIT - 1)
         if 5 * m - 1 <= limit:  # xi >= max S, so the run ends at 5*max S - 1 or later
-            table = _solved_table(ruleset, limit, 0)
+            table = _solved_table(ruleset, limit, 0, 4 * m)
         if table is None or table.x_max < min(table.greedy_from + 4 * m - 1, cap):
             raise ValueError(f"the convergence certificate of {ruleset} lies above the supported {core.TABLE_HEAP_LIMIT} heaps")
     if table.greedy_from > table.x_max + 1 - 2 * m:
@@ -166,32 +168,40 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
     )
 
 
-def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[list[int], list[int], list[bool]]:
+def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[int, list[int], list[int], list[bool]]:
     """Summaries of the canonical trace from every start heap h <= x_cap.
 
-    mine[h] and theirs[h] are the largest sacrifices (greedy at that heap
-    minus the action played, 0 for none) by the player to move at h and by
-    the other player, and last[h] is whether the player to move at h moves
-    last.  Both follow one opt, so the trace from h is a move and then the
-    trace from h - opt(h) with roles swapped: one linear pass fills all three.
+    Returns stop and three lists of length stop.  mine[h] and theirs[h]
+    are the largest sacrifices (greedy at that heap minus the action
+    played, 0 for none) by the player to move at h and by the other
+    player, and last[h] is whether the player to move at h moves last.
+    Both follow one opt, so the trace from h is a move and then the trace
+    from h - opt(h) with roles swapped: one linear pass fills all three.
+    A heap x with stop <= x <= x_cap has the summaries of heap
+    core._period_cell(x, stop, 2*max S).
 
-    From greedy_from on, opt(h) = greedy(h) = m = max S inside the table, so
-    no sacrifice is made there and mine[h] = theirs[h-m], theirs[h] =
-    mine[h-m] and last[h] = not last[h-m].  Applied twice, all three repeat
-    with period 2m from greedy_from + m on, so the pass stops at
-    stop = min(x_cap + 1, greedy_from + m) and the heaps past it repeat the
-    block [stop - 2m, stop).  Heaps below m cannot play m, so
-    greedy_from >= m and the block never starts below heap 0.
+    The DP pass stops once 2*max S heaps in a row have opt max S, or at
+    x_cap, and only its solved heaps are read.  From greedy_from on,
+    opt(h) = greedy(h) = m = max S up to x_cap (see build_outcome_table),
+    so no sacrifice is made there and mine[h] = theirs[h-m], theirs[h] =
+    mine[h-m] and last[h] = not last[h-m].  Applied twice, all three
+    repeat with period 2m from greedy_from + m on, so the summary pass
+    stops at stop = min(x_cap + 1, greedy_from + m), which the solved
+    heaps reach, and the heaps past it repeat the block [stop - 2m, stop).
+    Heaps below m cannot play m, so greedy_from >= m and the block never
+    starts below heap 0.
     """
-    table = build_outcome_table(ruleset, x_cap)
-    opts, m = table.opts, ruleset.max_action
+    core._check_x_max(x_cap)
+    m = ruleset.max_action
+    table = _solved_table(ruleset, x_cap, 0, 2 * m)
+    opts = table.opts
     stop = min(x_cap + 1, table.greedy_from + m)
     greedy = [0] * stop
     for a in ruleset.actions:  # each action is greedy from itself up to the next
         greedy[a:] = [a] * (stop - a)
-    mine = [0] * (x_cap + 1)
-    theirs = [0] * (x_cap + 1)
-    last = [False] * (x_cap + 1)
+    mine = [0] * stop
+    theirs = [0] * stop
+    last = [False] * stop
     for h in range(ruleset.min_action, stop):
         a = opts[h]
         c = h - a
@@ -199,9 +209,7 @@ def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[list[int], list[int]
         mine[h] = sac if sac > theirs[c] else theirs[c]
         theirs[h] = mine[c]
         last[h] = not last[c]
-    for seq in mine, theirs, last:
-        _fill_period(seq, stop, 2 * m)
-    return mine, theirs, last
+    return stop, mine, theirs, last
 
 
 # Observation name -> (sweep title, report label, predicate).  The
@@ -235,9 +243,11 @@ def check_observation(name: str, ruleset: Ruleset, xs: Iterable[int]) -> Observa
     xs = list(xs)
     if min(xs, default=0) < 0:
         raise ValueError(f"start heaps must be nonnegative, got {min(xs)}")
-    mine, theirs, last = _trace_summaries(ruleset, max(xs, default=0))
+    stop, mine, theirs, last = _trace_summaries(ruleset, max(xs, default=0))
+    lag = 2 * ruleset.max_action
     for x in xs:
-        if violated(mine[x] > 0, theirs[x] > 0, last[x]):
+        c = x if x < stop else _period_cell(x, stop, lag)
+        if violated(mine[c] > 0, theirs[c] > 0, last[c]):
             return ObservationReport(label, ruleset, False, x, canonical_trace(ruleset, x))
     return ObservationReport(label, ruleset, True)
 
@@ -254,11 +264,22 @@ def scan_sacrifice_conjecture(max_s: int, x_cap: int) -> list[SacrificeFinding]:
         raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
     findings: list[SacrificeFinding] = []
     for ruleset in rulesets_with_max_at_most(max_s, (4, 5)):
-        mine, theirs, _ = _trace_summaries(ruleset, x_cap)
+        stop, mine, theirs, _ = _trace_summaries(ruleset, x_cap)
+        lag = 2 * ruleset.max_action
         # Sacrifices are >= 0, so the product is positive just when both are.
+        hits = list(compress(range(stop), map(mul, mine, theirs)))
+        # The heaps from stop on repeat the hits of the block [stop - lag,
+        # stop), shifted by lag, 2*lag, ...; in that order x ascends.
+        block = [h for h in hits if h >= stop - lag]
+        cells = [(x, x) for x in hits] + [
+            (h + shift, h)
+            for shift in range(lag, x_cap + lag - stop + 1, lag)
+            for h in block
+            if h + shift <= x_cap
+        ]
         findings += [
-            SacrificeFinding(ruleset, x, mine[x], theirs[x], consistent=theirs[x] < mine[x])
-            for x in compress(range(x_cap + 1), map(mul, mine, theirs))
+            SacrificeFinding(ruleset, x, mine[h], theirs[h], consistent=theirs[h] < mine[h])
+            for x, h in cells
         ]
     return findings
 
@@ -298,6 +319,7 @@ def observation_sweep_report(name: str, max_s: int, x_cap: int) -> dict:
         raise ValueError(f"need max_s >= 2, got {max_s}")
     if x_cap < 0:
         raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
+    core._check_x_max(x_cap)  # before range(x_cap + 1) becomes a list
     pairs = rulesets_with_max_at_most(max_s, (2,))
     reports = [check_observation(name, ruleset, range(x_cap + 1)) for ruleset in pairs]
     return conjecture_report(

@@ -181,14 +181,16 @@ def _check_x_max(x_max: int) -> None:
         )
 
 
-def _table_generic(ruleset: Ruleset, limit: int) -> tuple[list[int], list[int | None], int]:
-    """Solve heaps 0..limit in order; stop once 4*max S heaps in a row have opt max S.
+def _table_generic(ruleset: Ruleset, limit: int, run: int) -> tuple[list[int], list[int | None], int]:
+    """Solve heaps 0..limit in order; stop once `run` heaps in a row have opt max S.
 
     Returns o and opts, grown heap by heap up to that stop or to limit,
     and the last heap in them whose opt is not max S, terminal heaps
-    included.  The run is 4*max S rather than the 2*max S that certifies
-    the tail, so that the 4*max S heaps from xi that eventual_period reads
-    in convergence_point's self-check are all solved here, never filled.
+    included, so the stop is that heap + run.  A run of 2*max S certifies
+    the tail (see build_outcome_table), and the trace summaries stop
+    there.  build_outcome_table and convergence_point pass 4*max S, so
+    that the 4*max S heaps from xi that eventual_period reads in
+    convergence_point's self-check are all solved here, never filled.
 
     The largest playable action seeds best: max S from heap max S on,
     and below it the largest action bisect finds playable.  The other
@@ -202,7 +204,6 @@ def _table_generic(ruleset: Ruleset, limit: int) -> tuple[list[int], list[int | 
     o: list[int] = [0] * first
     opts: list[int | None] = [None] * first
     last = first - 1
-    run = 4 * m
     for x in range(first, limit + 1):
         if x >= m:
             best_s, rest = m, desc
@@ -223,15 +224,15 @@ def _table_generic(ruleset: Ruleset, limit: int) -> tuple[list[int], list[int | 
     return o, opts, last
 
 
-def _table_contiguous(ruleset: Ruleset, limit: int) -> tuple[list[int], list[int | None], int]:
+def _table_contiguous(ruleset: Ruleset, limit: int, run: int) -> tuple[list[int], list[int | None], int]:
     """Sliding-window variant for contiguous action sets {lo, ..., hi}.
 
     With g(y) = y + o(y), the recursion becomes o(x) = x - min g(y) over
     the window x-hi <= y <= x-lo, so a monotone deque gives each entry in
     amortized O(1).  The deque keeps the smallest y among equal g values
     in front, which reproduces the largest-action tie-break exactly.
-    g(y) = y on terminal heaps, where o = 0.  Stops and returns as
-    _table_generic does.
+    g(y) = y on terminal heaps, where o = 0.  Stops after `run` greedy
+    heaps and returns as _table_generic does.
     """
     lo, hi = ruleset.min_action, ruleset.max_action
     first = min(lo, limit + 1)
@@ -239,7 +240,6 @@ def _table_contiguous(ruleset: Ruleset, limit: int) -> tuple[list[int], list[int
     opts: list[int | None] = [None] * first
     g: list[int] = list(range(first))
     last = first - 1
-    run = 4 * hi
     window: deque[int] = deque()
     for x in range(first, limit + 1):
         y_new = x - lo
@@ -292,17 +292,19 @@ def build_outcome_table(ruleset: Ruleset, x_max: int) -> OutcomeTable:
     above n repeats the one 2m heaps lower, and with it every later value.
     """
     _check_x_max(x_max)
-    return _solved_table(ruleset, x_max, x_max)
+    return _solved_table(ruleset, x_max, x_max, 4 * ruleset.max_action)
 
 
-def _solved_table(ruleset: Ruleset, limit: int, x_max: int) -> OutcomeTable:
-    """One kernel pass over heaps 0..limit, then a fill by period up to x_max.
+def _solved_table(ruleset: Ruleset, limit: int, x_max: int, run: int) -> OutcomeTable:
+    """One kernel pass over heaps 0..limit, stopped by a greedy run of `run`
+    heaps, then a fill by period up to x_max.
 
     The table ends at x_max or at the kernel's stop, whichever is larger,
-    so x_max = 0 gives the solved heaps alone (see build_outcome_table).
+    so x_max = 0 gives the solved heaps alone.  A run of at least 2*max S
+    keeps the fill exact (see build_outcome_table).
     """
     kernel = _table_contiguous if ruleset.is_contiguous else _table_generic
-    o, opts, last = kernel(ruleset, limit)
+    o, opts, last = kernel(ruleset, limit, run)
     n, m = len(o), ruleset.max_action
     o += [0] * (x_max + 1 - n)
     _fill_period(o, n, 2 * m)

@@ -48,11 +48,11 @@ def _record_kernel_calls(monkeypatch):
     lengths = []
 
     def recording(kernel):
-        def run(ruleset, limit):
-            o, opts, last = kernel(ruleset, limit)
+        def call(ruleset, limit, run):
+            o, opts, last = kernel(ruleset, limit, run)
             lengths.append(len(o))
             return o, opts, last
-        return run
+        return call
 
     for name in ("_table_contiguous", "_table_generic"):
         monkeypatch.setattr(core, name, recording(getattr(core, name)))
@@ -213,6 +213,11 @@ class TestConvergencePoint:
         assert lengths == [xi + 4 * 100]
         assert convergence_point(rs, short) == report
         assert lengths == [xi + 4 * 100] * 2
+        # build_outcome_table stops its pass at the same run, so the heaps
+        # from xi that eventual_period reads in a caller's table are solved,
+        # not filled by period.
+        build_outcome_table(rs, xi + 4 * 100 + 50)
+        assert lengths == [xi + 4 * 100] * 3
 
 
 class TestEventualPeriod:

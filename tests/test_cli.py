@@ -374,6 +374,14 @@ class TestScan:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("conjecture", ["sacrifice", "last-move"])
+    def test_x_cap_too_large_is_usage_error(self, capsys, conjecture):
+        # 2*10^7 heaps: refused before any table or list of heaps is built.
+        code, out, err = run(capsys, ["scan", conjecture, "--x-cap", "20000000"])
+        assert code == 2
+        assert out == ""
+        assert "above the supported" in err
+
     def test_unknown_conjecture_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "nonsense"])

@@ -19,6 +19,7 @@ from cumsub import (
     Ruleset,
     build_outcome_table,
     canonical_trace,
+    default_x_max,
     minimax_values,
     rulesets_with_max_at_most,
 )
@@ -26,6 +27,7 @@ from cumsub.core import (
     TABLE_HEAP_LIMIT,
     _fill_period,
     _period_cell,
+    _solved_table,
     _table_contiguous,
     _table_generic,
 )
@@ -221,10 +223,10 @@ class TestPeriodHelpers:
         assert _period_cell(x, 6, self.LAG) == cell
 
 
-def _kernel_table(kernel, rs, limit):
-    """Run one DP kernel from heap 0 until it stops: (last non-greedy heap,
-    o, opt), which end at the stop or at limit."""
-    o, opts, last = kernel(rs, limit)
+def _kernel_table(kernel, rs, limit, run):
+    """Run one DP kernel from heap 0 until `run` heaps with opt max S stop
+    it: (last non-greedy heap, o, opt), which end at the stop or at limit."""
+    o, opts, last = kernel(rs, limit, run)
     return last, o, opts
 
 
@@ -237,21 +239,40 @@ class TestContiguousFastPath:
     def test_matches_generic(self, actions):
         rs = Ruleset(actions)
         assert rs.is_contiguous
-        fast = _kernel_table(_table_contiguous, rs, 250)
-        slow = _kernel_table(_table_generic, rs, 250)
-        assert fast == slow
-        # Both return the last heap whose opt is not max S, and stop at
-        # the first run of 4*max S heaps with opt max S after it.
-        last, _, opts = fast
         m = rs.max_action
-        assert last + 4 * m < 250
-        assert opts[last] != m
-        assert opts[last + 1:] == [m] * (4 * m)
-        assert build_outcome_table(rs, 250).greedy_from == last + 1
-        # A limit one heap short of the stop ends the lists there instead.
-        for kernel in (_table_contiguous, _table_generic):
-            short = _kernel_table(kernel, rs, last + 4 * m - 1)
-            assert short == (last, fast[1][:-1], opts[:-1])
+        tables = []
+        for run in (2 * m, 4 * m):
+            fast = _kernel_table(_table_contiguous, rs, 250, run)
+            slow = _kernel_table(_table_generic, rs, 250, run)
+            assert fast == slow
+            # Both return the last heap whose opt is not max S, and stop
+            # at the first run of `run` heaps with opt max S after it.
+            last, _, opts = fast
+            assert last + run < 250
+            assert opts[last] != m
+            assert opts[last + 1:] == [m] * run
+            assert build_outcome_table(rs, 250).greedy_from == last + 1
+            # A limit one heap short of the stop ends the lists there instead.
+            for kernel in (_table_contiguous, _table_generic):
+                short = _kernel_table(kernel, rs, last + run - 1, run)
+                assert short == (last, fast[1][:-1], opts[:-1])
+            tables.append(fast)
+        # The shorter run stops inside the longer one's lists.
+        (last, o, opts), (long_last, long_o, long_opts) = tables
+        assert last == long_last
+        assert (o, opts) == (long_o[:len(o)], long_opts[:len(o)])
+
+    def test_certificate_run_finds_the_same_greedy_from(self):
+        # 2*max S heaps with opt max S certify it on every larger heap
+        # (see build_outcome_table), so a pass stopped by that run finds
+        # the greedy_from of one stopped by 4*max S, on every ruleset.
+        for rs in rulesets_with_max_at_most(9, range(2, 10)):
+            m = rs.max_action
+            short = _solved_table(rs, default_x_max(rs), 0, 2 * m)
+            long = _solved_table(rs, default_x_max(rs), 0, 4 * m)
+            assert short.greedy_from == long.greedy_from, rs
+            assert short.x_max == short.greedy_from + 2 * m - 1, rs
+            assert short.outcomes == long.outcomes[:short.x_max + 1], rs
 
     def test_build_routes_to_fast_path(self):
         # Same result through the public entry point, against references
@@ -283,7 +304,7 @@ class TestOptAction:
     def test_generic_kernel_largest_tie_break(self, actions, heap, tied, opt):
         rs = Ruleset(actions)
         assert not rs.is_contiguous
-        _, o, opts = _kernel_table(_table_generic, rs, 100)
+        _, o, opts = _kernel_table(_table_generic, rs, 100, 4 * rs.max_action)
         best = max(s - o[heap - s] for s in actions if s <= heap)
         assert [s for s in actions if s <= heap and s - o[heap - s] == best] == list(tied)
         assert opts[heap] == opt

@@ -1,5 +1,6 @@
 """Property tests: closed forms, the complementary strategy, line periods,
-the convergence and period certificates, tables of every length and
+the convergence and period certificates, the trace summaries and the
+sacrifice scan past their cut, tables of every length and
 their period-filled tails, the optimal-action tie-break, two-pile grids,
 their exports, and both minimax oracles against independent computations.
 
@@ -11,14 +12,16 @@ from __future__ import annotations
 
 import types
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cumsub import core, multipile
+from cumsub import analysis, core, multipile
 
 from cumsub import (
     Mover,
     Ruleset,
+    SacrificeFinding,
     build_grid,
     build_outcome_table,
     build_two_action,
@@ -30,6 +33,7 @@ from cumsub import (
     export_grid,
     minimax_values,
     row_period,
+    scan_sacrifice_conjecture,
     two_action_opt,
     two_pile_values,
     two_action_outcome,
@@ -94,24 +98,30 @@ def test_grid_row_zero_period_matches_single_pile(rs):
     assert report.period == eventual_period(table, report.tail_start).period
 
 
+def _replayed_sacrifices(rs, x, table):
+    """Each player's largest sacrifice on the canonical trace from x,
+    replayed move by move, and whether Positive moves last."""
+    trace = canonical_trace(rs, x, table=table)
+    largest = {Mover.POSITIVE: 0, Mover.NEGATIVE: 0}
+    heap = x
+    for move in trace.moves:
+        sac = rs.greedy_action(heap) - move.action
+        largest[move.mover] = max(largest[move.mover], sac)
+        heap -= move.action
+    positive_last = bool(trace.moves) and trace.moves[-1].mover is Mover.POSITIVE
+    return largest[Mover.POSITIVE], largest[Mover.NEGATIVE], positive_last
+
+
 def _check_summaries_by_replay(rs, x_cap):
     """_trace_summaries(rs, x_cap) against canonical traces replayed move by
     move: each player's largest sacrifice and who moves last, at every start
-    heap up to x_cap."""
-    mine, theirs, last = _trace_summaries(rs, x_cap)
+    heap up to x_cap, read at its period cell from the cut on."""
+    stop, mine, theirs, last = _trace_summaries(rs, x_cap)
     table = build_outcome_table(rs, x_cap)
-    assert len(mine) == len(theirs) == len(last) == x_cap + 1
+    assert len(mine) == len(theirs) == len(last) == stop <= x_cap + 1
     for x in range(x_cap + 1):
-        trace = canonical_trace(rs, x, table=table)
-        largest = {Mover.POSITIVE: 0, Mover.NEGATIVE: 0}
-        heap = x
-        for move in trace.moves:
-            sac = rs.greedy_action(heap) - move.action
-            largest[move.mover] = max(largest[move.mover], sac)
-            heap -= move.action
-        assert (mine[x], theirs[x]) == (largest[Mover.POSITIVE], largest[Mover.NEGATIVE]), x
-        positive_last = bool(trace.moves) and trace.moves[-1].mover is Mover.POSITIVE
-        assert last[x] is positive_last, x
+        c = x if x < stop else core._period_cell(x, stop, 2 * rs.max_action)
+        assert (mine[c], theirs[c], last[c]) == _replayed_sacrifices(rs, x, table), x
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -123,21 +133,54 @@ def test_trace_summaries_match_trace_replay(rs):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(rs=sized_rulesets, x_cap=st.none())
 # The pass stops at greedy_from + max S; these put that cut at x_cap
-# (one heap filled) and at x_cap + 1 (none filled), once inside a greedy
-# run that ends below xi = 71 and once from xi on.
+# (one heap read from the block below it) and at x_cap + 1 (none), once
+# inside a greedy run that ends below xi = 71 and once from xi on.
 @example(rs=Ruleset((2, 7, 10, 11)), x_cap=43)
 @example(rs=Ruleset((2, 7, 10, 11)), x_cap=42)
 @example(rs=Ruleset((2, 7, 10, 11)), x_cap=82)
 @example(rs=Ruleset((2, 7, 10, 11)), x_cap=81)
 def test_trace_summaries_past_the_cut_match_trace_replay(rs, x_cap):
-    # At default_x_max the table reaches 4*max S heaps past the bound on
-    # xi, so the pass stops at xi + max S and fills the rest by period.
+    # default_x_max lies 4*max S heaps past the bound on xi, so the DP
+    # pass reaches its certificate, the summaries stop at xi + max S, and
+    # the rest is read by period.
     if x_cap is None:
         x_cap = default_x_max(rs)
     else:
         cut = build_outcome_table(rs, x_cap).greedy_from + rs.max_action
         assert cut in (x_cap, x_cap + 1)
     _check_summaries_by_replay(rs, x_cap)
+
+
+scan_rulesets = st.integers(4, 22).flatmap(
+    lambda m: st.lists(st.integers(1, m - 1), min_size=3, max_size=4, unique=True).map(
+        lambda rest: Ruleset(tuple(sorted(rest)) + (m,))
+    )
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rs=scan_rulesets, x_cap=st.integers(0, 200))
+# No ruleset with max S <= 15 has a double sacrifice at or past its cut
+# greedy_from + max S, so these do.  {4,6,7,16,21} cuts at 115 and has
+# one at 73 = 115 - 2*21: x_cap = 115 reads it shifted to 115, and
+# x_cap = 114 reads no heap past the cut.  {2,3,12,20} cuts at 72 and
+# has them at 51 and 71, read again at 91, 111, 131, 151, ...
+@example(rs=Ruleset((4, 6, 7, 16, 21)), x_cap=115)
+@example(rs=Ruleset((4, 6, 7, 16, 21)), x_cap=114)
+@example(rs=Ruleset((4, 6, 7, 16, 21)), x_cap=200)
+@example(rs=Ruleset((2, 3, 12, 20)), x_cap=200)
+def test_sacrifice_scan_matches_trace_replay(rs, x_cap):
+    # The scan sweeps this one ruleset, against a canonical trace
+    # replayed from every start heap up to x_cap.
+    table = build_outcome_table(rs, x_cap)
+    expected = []
+    for x in range(x_cap + 1):
+        pos, neg, _ = _replayed_sacrifices(rs, x, table)
+        if pos and neg:
+            expected.append(SacrificeFinding(rs, x, pos, neg, consistent=neg < pos))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "rulesets_with_max_at_most", lambda max_s, sizes: [rs])
+        assert scan_sacrifice_conjecture(rs.max_action, x_cap) == expected
 
 
 def _largest_maximizers(rs, x_max):
