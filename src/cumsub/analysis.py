@@ -9,9 +9,10 @@ lies 4*max S heaps below its top; 2*max S of them prove that opt stays
 max S on every larger heap.  It also certifies the eventual period and
 provides falsification sweeps for observed regularities of optimal play
 (who sacrifices, who moves last, how large sacrifices are).  Those sweeps
-stop their DP pass at the 2*max S heaps that certify the tail, and read
-each start heap past greedy_from + max S from the one a multiple of
-2*max S below it.
+stop their DP pass at the 2*max S heaps that certify the tail.  Each start
+heap past greedy_from + max S has the trace summaries of the one a
+multiple of 2*max S below it, so the observation checks read no heap past
+that cut; only the sacrifice scan, which lists every hit, reads past it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
-from typing import Iterable
 
 from . import core
 from .core import (
@@ -27,7 +27,6 @@ from .core import (
     PlayTrace,
     Report,
     Ruleset,
-    _period_cell,
     _solved_table,
     canonical_trace,
     rulesets_with_max_at_most,
@@ -178,7 +177,8 @@ def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[int, list[int], list
     Both follow one opt, so the trace from h is a move and then the trace
     from h - opt(h) with roles swapped: one linear pass fills all three.
     A heap x with stop <= x <= x_cap has the summaries of heap
-    core._period_cell(x, stop, 2*max S).
+    core._period_cell(x, stop, 2*max S), so the first heap <= x_cap whose
+    summaries satisfy a predicate, if any, lies below stop.
 
     The DP pass stops once 2*max S heaps in a row have opt max S, or at
     x_cap, and only its solved heaps are read.  From greedy_from on,
@@ -229,10 +229,11 @@ _OBSERVATIONS = {
 }
 
 
-def check_observation(name: str, ruleset: Ruleset, xs: Iterable[int]) -> ObservationReport:
-    """First start heap in xs whose canonical trace violates observation `name`.
+def check_observation(name: str, ruleset: Ruleset, x_cap: int) -> ObservationReport:
+    """First start heap x <= x_cap whose canonical trace violates observation `name`.
 
-    The observations are stated for two-action games; the failing trace is
+    Only the heaps below _trace_summaries' stop are read (see there).  The
+    observations are stated for two-action games; the failing trace is
     replayed only as the witness.
     """
     if name not in _OBSERVATIONS:
@@ -240,14 +241,9 @@ def check_observation(name: str, ruleset: Ruleset, xs: Iterable[int]) -> Observa
     _, label, violated = _OBSERVATIONS[name]
     if not ruleset.is_two_action:
         raise ValueError(f"observation is stated for two-action games, got {ruleset}")
-    xs = list(xs)
-    if min(xs, default=0) < 0:
-        raise ValueError(f"start heaps must be nonnegative, got {min(xs)}")
-    stop, mine, theirs, last = _trace_summaries(ruleset, max(xs, default=0))
-    lag = 2 * ruleset.max_action
-    for x in xs:
-        c = x if x < stop else _period_cell(x, stop, lag)
-        if violated(mine[c] > 0, theirs[c] > 0, last[c]):
+    stop, mine, theirs, last = _trace_summaries(ruleset, x_cap)
+    for x in range(stop):
+        if violated(mine[x] > 0, theirs[x] > 0, last[x]):
             return ObservationReport(label, ruleset, False, x, canonical_trace(ruleset, x))
     return ObservationReport(label, ruleset, True)
 
@@ -319,9 +315,8 @@ def observation_sweep_report(name: str, max_s: int, x_cap: int) -> dict:
         raise ValueError(f"need max_s >= 2, got {max_s}")
     if x_cap < 0:
         raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
-    core._check_x_max(x_cap)  # before range(x_cap + 1) becomes a list
     pairs = rulesets_with_max_at_most(max_s, (2,))
-    reports = [check_observation(name, ruleset, range(x_cap + 1)) for ruleset in pairs]
+    reports = [check_observation(name, ruleset, x_cap) for ruleset in pairs]
     return conjecture_report(
         conjecture=_OBSERVATIONS[name][0],
         parameters={"max_s": max_s, "x_cap": x_cap},

@@ -457,18 +457,14 @@ def _least_period_and_start(line: Sequence[int], end: int, lag: int) -> tuple[in
     """Least period and least start of a line with line[t] = line[t + lag] for t >= end - lag.
 
     line holds at least t < end.  The least period divides lag.  The least
-    start is found by walking back from end - lag: a step that still
-    repeats is taken and doubles the next, one that does not halves it.
+    start is found by walking back from end - lag while the cell below
+    still repeats.
     """
     window = line[end - lag:end]
     period = next(p for p in range(1, lag + 1) if lag % p == 0 and window[p:] == window[:lag - p])
-    t, step = end - lag, lag
-    while step:
-        if t >= step and line[t - step:t] == line[t - step + period:t + period]:
-            t -= step
-            step *= 2
-        else:
-            step //= 2
+    t = end - lag
+    while t and line[t - 1] == line[t - 1 + period]:
+        t -= 1
     return period, t
 
 

@@ -1,8 +1,9 @@
 """Property tests: closed forms, the complementary strategy, line periods,
-the convergence and period certificates, the trace summaries and the
-sacrifice scan past their cut, tables of every length and
-their period-filled tails, the optimal-action tie-break, two-pile grids,
-their exports, and both minimax oracles against independent computations.
+the convergence and period certificates, the trace summaries, the
+observation checks and the sacrifice scan past their cut, tables of every
+length and their period-filled tails, the optimal-action tie-break,
+two-pile grids, their exports, and both minimax oracles against
+independent computations.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 checks the same cases.
@@ -181,6 +182,53 @@ def test_sacrifice_scan_matches_trace_replay(rs, x_cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "rulesets_with_max_at_most", lambda max_s, sizes: [rs])
         assert scan_sacrifice_conjecture(rs.max_action, x_cap) == expected
+
+
+observed_cases = st.integers(2, 20).flatmap(
+    lambda s1: st.tuples(
+        st.integers(1, s1 - 1).map(lambda s2: Ruleset((s2, s1))),
+        # 2*s1^2 + s1 bounds the cut greedy_from + max S, so x_cap also
+        # reaches 2*s1 heaps past it.
+        st.integers(0, 2 * s1 * s1 + 3 * s1),
+    )
+)
+
+# Predicates on (Positive sacrifices, Negative sacrifices, Positive moves
+# last) that fire, beside the two observations, which hold on every pair
+# with max S <= 40 and so never reach the counterexample path.
+_firing_predicates = {
+    "positive-sacrifices": lambda pos, neg, pos_last: pos,
+    "negative-sacrifices": lambda pos, neg, pos_last: neg,
+    "positive-sacrifices-last": lambda pos, neg, pos_last: pos and pos_last,
+    "negative-moves-last": lambda pos, neg, pos_last: not pos_last,
+    "greedy-positive-last": lambda pos, neg, pos_last: pos_last and not (pos or neg),
+}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=observed_cases, name=st.sampled_from(["last-move", "one-greedy", *_firing_predicates]))
+# {5,7} first has Positive sacrifice and move last at 17 (5;7;5): at
+# x_cap = 17 that heap is the last one read, and at 16 there is none.
+@example(case=(Ruleset((5, 7)), 17), name="positive-sacrifices-last")
+@example(case=(Ruleset((5, 7)), 16), name="positive-sacrifices-last")
+def test_check_observation_matches_trace_replay(case, name):
+    # The first heap <= x_cap whose replayed trace violates, with that
+    # heap's trace as the witness; the check holds when there is none.
+    rs, x_cap = case
+    if name in _firing_predicates:
+        observation = ("patched-sweep", name, _firing_predicates[name])
+    else:
+        observation = analysis._OBSERVATIONS[name]
+    table = build_outcome_table(rs, x_cap)
+    violated = observation[2]
+    first = next((x for x in range(x_cap + 1) if violated(*_replayed_sacrifices(rs, x, table))), None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(analysis._OBSERVATIONS, name, observation)
+        report = analysis.check_observation(name, rs, x_cap)
+    assert report.observation == observation[1]
+    assert report.holds is (first is None)
+    assert report.counterexample_x == first
+    assert report.witness == (None if first is None else canonical_trace(rs, first))
 
 
 def _largest_maximizers(rs, x_max):
