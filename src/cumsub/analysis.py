@@ -160,7 +160,8 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
         )
     tail = table.outcomes[tail_start:tail_start + 4 * m]
     for p in range(1, 2 * m + 1):
-        if (2 * m) % p == 0 and tail[p:] == tail[:-p]:
+        # tail[p] == tail[0] rejects most divisors before any slice is built.
+        if (2 * m) % p == 0 and tail[p] == tail[0] and tail[p:] == tail[:-p]:
             return PeriodReport(period=p, tail_start=tail_start)
     raise ValueError(
         f"no period dividing {2 * m} on tail [{tail_start}, {table.x_max}] for {table.ruleset}"
@@ -189,9 +190,14 @@ def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[int, list[int], list
     stops at stop = min(x_cap + 1, greedy_from + m), which the solved
     heaps reach, and the heaps past it repeat the block [stop - 2m, stop).
     Heaps below m cannot play m, so greedy_from >= m and the block never
-    starts below heap 0.
+    starts below heap 0.  A negative x_cap, or one of TABLE_HEAP_LIMIT or
+    more, raises ValueError; the scans and check_observation refuse
+    through this check.
     """
-    core._check_x_max(x_cap)
+    if x_cap < 0:
+        raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
+    if x_cap >= core.TABLE_HEAP_LIMIT:
+        raise ValueError(f"x_cap {x_cap} lies above the supported {core.TABLE_HEAP_LIMIT - 1}")
     m = ruleset.max_action
     table = _solved_table(ruleset, x_cap, 0, 2 * m)
     opts = table.opts
@@ -256,8 +262,6 @@ def scan_sacrifice_conjecture(max_s: int, x_cap: int) -> list[SacrificeFinding]:
     """
     if max_s < 4:
         raise ValueError(f"need max_s >= 4 for multi-action sacrifice games, got {max_s}")
-    if x_cap < 0:
-        raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
     findings: list[SacrificeFinding] = []
     for ruleset in rulesets_with_max_at_most(max_s, (4, 5)):
         stop, mine, theirs, _ = _trace_summaries(ruleset, x_cap)
@@ -313,8 +317,6 @@ def observation_sweep_report(name: str, max_s: int, x_cap: int) -> dict:
     """Check one of the two-action observations on every pair with max <= max_s."""
     if max_s < 2:
         raise ValueError(f"need max_s >= 2, got {max_s}")
-    if x_cap < 0:
-        raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
     pairs = rulesets_with_max_at_most(max_s, (2,))
     reports = [check_observation(name, ruleset, x_cap) for ruleset in pairs]
     return conjecture_report(

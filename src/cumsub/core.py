@@ -27,6 +27,14 @@ from typing import Iterable, NamedTuple
 # larger table is refused before anything is allocated.
 TABLE_HEAP_LIMIT = 20_000_000
 
+# The least |S| at which a contiguous set solves faster on the deque
+# kernel than on the generic one.  The generic kernel's cost per heap
+# grows with |S| and the deque kernel's does not: timed per heap on
+# {m-|S|+1, ..., m} up to default_x_max for 4 <= m <= 100, they cross
+# between |S| = 4 and 5 at every m, and pairs up to {1999,2000} stay on
+# the generic side.
+DEQUE_MIN_ACTIONS = 5
+
 
 class Mover(Enum):
     """The player about to move.  Positive maximizes, Negative minimizes."""
@@ -227,6 +235,11 @@ def _table_generic(ruleset: Ruleset, limit: int, run: int) -> tuple[list[int], l
 def _table_contiguous(ruleset: Ruleset, limit: int, run: int) -> tuple[list[int], list[int | None], int]:
     """Sliding-window variant for contiguous action sets {lo, ..., hi}.
 
+    _solved_table sends it the contiguous sets of at least
+    DEQUE_MIN_ACTIONS actions.  On fewer the generic kernel is faster per
+    heap, and it keeps no list g, so a pair such as {1999,2000} peaks at
+    about half the memory there.
+
     With g(y) = y + o(y), the recursion becomes o(x) = x - min g(y) over
     the window x-hi <= y <= x-lo, so a monotone deque gives each entry in
     amortized O(1).  The deque keeps the smallest y among equal g values
@@ -301,9 +314,12 @@ def _solved_table(ruleset: Ruleset, limit: int, x_max: int, run: int) -> Outcome
 
     The table ends at x_max or at the kernel's stop, whichever is larger,
     so x_max = 0 gives the solved heaps alone.  A run of at least 2*max S
-    keeps the fill exact (see build_outcome_table).
+    keeps the fill exact (see build_outcome_table).  A contiguous set of
+    at least DEQUE_MIN_ACTIONS actions goes to the deque kernel, every
+    other set to the generic one; both give the same lists.
     """
-    kernel = _table_contiguous if ruleset.is_contiguous else _table_generic
+    deque_kernel = ruleset.is_contiguous and len(ruleset.actions) >= DEQUE_MIN_ACTIONS
+    kernel = _table_contiguous if deque_kernel else _table_generic
     o, opts, last = kernel(ruleset, limit, run)
     n, m = len(o), ruleset.max_action
     o += [0] * (x_max + 1 - n)

@@ -266,6 +266,16 @@ class TestEventualPeriod:
             eventual_period(table, 0)
         assert not isinstance(info.value, TheoremViolationError)
 
+    def test_scalar_match_alone_is_no_period(self):
+        # A forged {5,7} tail whose first value recurs at lags 1, 2 and 7,
+        # the divisors of 14 below it, though none of them is a period.
+        block = (3, 3, 3, 1, 4, 1, 5, 3, 2, 6, 5, 9, 8, 9)
+        assert [p for p in (1, 2, 7) if block[p] == block[0]] == [1, 2, 7]
+        outcomes = block * 3
+        table = OutcomeTable(Ruleset((5, 7)), len(outcomes) - 1, outcomes, (7,) * len(outcomes), 0)
+        assert naive_minimal_period(outcomes, 0, 14) == 14
+        assert eventual_period(table, 0) == PeriodReport(period=14, tail_start=0)
+
     def test_window_too_small_rejected(self):
         # The window is the 4*7 heaps 31..58: x_max 58 holds it, 57 does not.
         rs = Ruleset((5, 7))
@@ -326,8 +336,12 @@ class TestTwoActionObservations:
         assert report.witness.actions == (5, 7, 5)
 
     def test_negative_start_heap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x_cap must be nonnegative"):
             check_observation("one-greedy", Ruleset((5, 7)), -1)
+
+    def test_x_cap_above_the_heap_limit_rejected(self):
+        with pytest.raises(ValueError, match="x_cap 20000000 lies above the supported"):
+            check_observation("one-greedy", Ruleset((5, 7)), core.TABLE_HEAP_LIMIT)
 
     def test_report_dict_schema(self):
         d = check_observation("last-move", Ruleset((2, 3)), 29).as_dict()

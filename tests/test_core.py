@@ -23,7 +23,9 @@ from cumsub import (
     minimax_values,
     rulesets_with_max_at_most,
 )
+from cumsub import core
 from cumsub.core import (
+    DEQUE_MIN_ACTIONS,
     TABLE_HEAP_LIMIT,
     _fill_period,
     _period_cell,
@@ -234,7 +236,13 @@ class TestContiguousFastPath:
     """The sliding-window solver must be bit-identical to the generic one."""
 
     @pytest.mark.parametrize(
-        "actions", [(1, 2), (2, 3), (2, 3, 4), (3, 4, 5, 6), (5, 6, 7, 8, 9)]
+        "actions",
+        [
+            (1, 2), (2, 3), (9, 10), (2, 3, 4), (3, 4, 5, 6), (5, 6, 7, 8, 9),
+            # Either side of the dispatch crossover.
+            tuple(range(12, 12 + DEQUE_MIN_ACTIONS - 1)),
+            tuple(range(12, 12 + DEQUE_MIN_ACTIONS)),
+        ],
     )
     def test_matches_generic(self, actions):
         rs = Ruleset(actions)
@@ -274,10 +282,38 @@ class TestContiguousFastPath:
             assert short.x_max == short.greedy_from + 2 * m - 1, rs
             assert short.outcomes == long.outcomes[:short.x_max + 1], rs
 
+    @pytest.mark.parametrize(
+        "actions, kernel",
+        [
+            ((5, 6), "_table_generic"),
+            ((999, 1000), "_table_generic"),
+            (tuple(range(3, 3 + DEQUE_MIN_ACTIONS - 1)), "_table_generic"),
+            (tuple(range(3, 3 + DEQUE_MIN_ACTIONS)), "_table_contiguous"),
+            ((3, 4, 5, 6, 7, 9), "_table_generic"),
+        ],
+    )
+    def test_dispatch_follows_the_crossover(self, monkeypatch, actions, kernel):
+        # Only contiguous sets of DEQUE_MIN_ACTIONS or more actions are
+        # faster on the deque kernel; pairs such as {999,1000} are not.
+        calls = []
+
+        def spy(name):
+            real = getattr(core, name)
+
+            def call(ruleset, limit, run):
+                calls.append(name)
+                return real(ruleset, limit, run)
+            return call
+
+        for name in ("_table_contiguous", "_table_generic"):
+            monkeypatch.setattr(core, name, spy(name))
+        build_outcome_table(Ruleset(actions), 20)
+        assert calls == [kernel]
+
     def test_build_routes_to_fast_path(self):
         # Same result through the public entry point, against references
         # that share no code with either kernel.
-        rs = Ruleset((2, 3, 4))
+        rs = Ruleset(tuple(range(2, 2 + DEQUE_MIN_ACTIONS)))
         table = build_outcome_table(rs, 100)
         assert table.outcomes == minimax_values(rs, 100)
         assert list(table.opts) == _largest_maximizers(rs, 100)
@@ -333,6 +369,13 @@ class TestMinimaxOracle:
             rs = Ruleset(actions)
             table = build_outcome_table(rs, 120)
             assert minimax_values(rs, 120) == table.outcomes, rs
+
+    def test_matches_table_on_the_extremal_pair(self):
+        # {999,1000} has the largest xi for its max S, 2*999^2 = 1996002.
+        # The whole table to xi + 4*max S - 1, all of it solved by the DP.
+        rs = Ruleset((999, 1000))
+        x_max = 1996002 + 3999
+        assert build_outcome_table(rs, x_max).outcomes == minimax_values(rs, x_max)
 
 
 class TestCanonicalTrace:
