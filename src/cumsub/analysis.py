@@ -11,8 +11,8 @@ provides falsification sweeps for observed regularities of optimal play
 (who sacrifices, who moves last, how large sacrifices are).  Those sweeps
 stop their DP pass at the 2*max S heaps that certify the tail.  Each start
 heap past greedy_from + max S has the trace summaries of the one a
-multiple of 2*max S below it, so the observation checks read no heap past
-that cut; only the sacrifice scan, which lists every hit, reads past it.
+multiple of 2*max S below it, so no scan reads a heap past that cut; only
+the sacrifice scan, which lists every hit, grows with the heaps past it.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[int, list[int], list
     summaries satisfy a predicate, if any, lies below stop.
 
     The DP pass stops once 2*max S heaps in a row have opt max S, or at
-    x_cap, and only its solved heaps are read.  From greedy_from on,
+    min(x_cap, TABLE_HEAP_LIMIT - 1), and only its solved heaps are read,
+    so an x_cap past the run costs nothing.  From greedy_from on,
     opt(h) = greedy(h) = m = max S up to x_cap (see build_outcome_table),
     so no sacrifice is made there and mine[h] = theirs[h-m], theirs[h] =
     mine[h-m] and last[h] = not last[h-m].  Applied twice, all three
@@ -190,16 +191,15 @@ def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[int, list[int], list
     stops at stop = min(x_cap + 1, greedy_from + m), which the solved
     heaps reach, and the heaps past it repeat the block [stop - 2m, stop).
     Heaps below m cannot play m, so greedy_from >= m and the block never
-    starts below heap 0.  A negative x_cap, or one of TABLE_HEAP_LIMIT or
-    more, raises ValueError; the scans and check_observation refuse
-    through this check.
+    starts below heap 0.  A negative x_cap, or one past a pass that stops
+    at the heap cap short of its run, raises ValueError.
     """
     if x_cap < 0:
         raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
-    if x_cap >= core.TABLE_HEAP_LIMIT:
-        raise ValueError(f"x_cap {x_cap} lies above the supported {core.TABLE_HEAP_LIMIT - 1}")
     m = ruleset.max_action
-    table = _solved_table(ruleset, x_cap, 0, 2 * m)
+    table = _solved_table(ruleset, min(x_cap, core.TABLE_HEAP_LIMIT - 1), 0, 2 * m)
+    if x_cap > table.x_max and table.greedy_from > table.x_max + 1 - 2 * m:
+        raise ValueError(f"the trace certificate of {ruleset} lies above the supported {core.TABLE_HEAP_LIMIT} heaps")
     opts = table.opts
     stop = min(x_cap + 1, table.greedy_from + m)
     greedy = [0] * stop
@@ -238,7 +238,8 @@ _OBSERVATIONS = {
 def check_observation(name: str, ruleset: Ruleset, x_cap: int) -> ObservationReport:
     """First start heap x <= x_cap whose canonical trace violates observation `name`.
 
-    Only the heaps below _trace_summaries' stop are read (see there).  The
+    Only the heaps below _trace_summaries' stop are read (see there), so
+    any x_cap past that cut gives the same report at the same cost.  The
     observations are stated for two-action games; the failing trace is
     replayed only as the witness.
     """
@@ -259,24 +260,23 @@ def scan_sacrifice_conjecture(max_s: int, x_cap: int) -> list[SacrificeFinding]:
 
     Conjectured relation under test: when both players sacrifice in one
     optimal play, Negative's sacrifice is strictly smaller than Positive's.
+    A hit h in _trace_summaries' block [stop - 2*max S, stop) recurs at
+    h + 2*max S, h + 4*max S, ... up to x_cap, so only this scan's output
+    grows with x_cap, and only it refuses x_cap >= TABLE_HEAP_LIMIT.
     """
     if max_s < 4:
         raise ValueError(f"need max_s >= 4 for multi-action sacrifice games, got {max_s}")
+    if x_cap >= core.TABLE_HEAP_LIMIT:
+        raise ValueError(f"x_cap {x_cap} lies above the supported {core.TABLE_HEAP_LIMIT - 1}")
     findings: list[SacrificeFinding] = []
     for ruleset in rulesets_with_max_at_most(max_s, (4, 5)):
         stop, mine, theirs, _ = _trace_summaries(ruleset, x_cap)
         lag = 2 * ruleset.max_action
         # Sacrifices are >= 0, so the product is positive just when both are.
         hits = list(compress(range(stop), map(mul, mine, theirs)))
-        # The heaps from stop on repeat the hits of the block [stop - lag,
-        # stop), shifted by lag, 2*lag, ...; in that order x ascends.
-        block = [h for h in hits if h >= stop - lag]
-        cells = [(x, x) for x in hits] + [
-            (h + shift, h)
-            for shift in range(lag, x_cap + lag - stop + 1, lag)
-            for h in block
-            if h + shift <= x_cap
-        ]
+        cells = sorted([(x, x) for x in hits] + [
+            (x, h) for h in hits if h >= stop - lag for x in range(h + lag, x_cap + 1, lag)
+        ])
         findings += [
             SacrificeFinding(ruleset, x, mine[h], theirs[h], consistent=theirs[h] < mine[h])
             for x, h in cells

@@ -98,13 +98,6 @@ class Ruleset:
     def playable(self, heap: int) -> tuple[int, ...]:
         return tuple(s for s in self.actions if s <= heap)
 
-    def greedy_action(self, heap: int) -> int:
-        """Largest playable action; playing anything smaller is a sacrifice."""
-        i = bisect.bisect_right(self.actions, heap)
-        if i == 0:
-            raise ValueError(f"no playable action from heap {heap} in {self}")
-        return self.actions[i - 1]
-
     def __str__(self) -> str:
         return "{" + ",".join(str(a) for a in self.actions) + "}"
 

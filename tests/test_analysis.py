@@ -20,6 +20,7 @@ from cumsub import (
     Ruleset,
     TheoremViolationError,
     build_outcome_table,
+    canonical_trace,
     check_observation,
     conjecture_report,
     convergence_bound,
@@ -32,6 +33,7 @@ from cumsub import (
     scan_sacrifice_conjecture,
 )
 from cumsub import analysis, core
+from test_properties import _replayed_sacrifices
 
 
 def naive_minimal_period(values, tail_start, p_cap):
@@ -310,8 +312,6 @@ class TestTwoActionObservations:
 
     def test_sacrificer_is_last_mover_on_example(self):
         # From 17 in {5,7} Positive sacrifices at the start and moves last.
-        from cumsub import canonical_trace
-
         trace = canonical_trace(Ruleset((5, 7)), 17)
         assert trace.actions == (5, 7, 5)
         assert trace.moves[-1].mover is Mover.POSITIVE
@@ -339,9 +339,30 @@ class TestTwoActionObservations:
         with pytest.raises(ValueError, match="x_cap must be nonnegative"):
             check_observation("one-greedy", Ruleset((5, 7)), -1)
 
-    def test_x_cap_above_the_heap_limit_rejected(self):
-        with pytest.raises(ValueError, match="x_cap 20000000 lies above the supported"):
-            check_observation("one-greedy", Ruleset((5, 7)), core.TABLE_HEAP_LIMIT)
+    def test_x_cap_past_the_heap_limit_reads_below_the_cut(self, monkeypatch):
+        # Every cut lies below 3000 here ({29,30}: xi + max S = 1712), so
+        # a larger x_cap reads the same heaps and gives the same report,
+        # witness included.
+        monkeypatch.setitem(
+            analysis._OBSERVATIONS, "demo",
+            ("demo-sweep", "demo", lambda pos, neg, pos_last: pos and pos_last),
+        )
+        for acts in ((5, 7), (2, 3), (1, 9), (29, 30)):
+            for name in ("last-move", "one-greedy", "demo"):
+                report = check_observation(name, Ruleset(acts), 3000)
+                for x_cap in (core.TABLE_HEAP_LIMIT, 10**9):
+                    assert check_observation(name, Ruleset(acts), x_cap) == report
+        assert not check_observation("demo", Ruleset((5, 7)), 10**9).holds
+
+    def test_refuses_a_trace_certificate_past_the_heap_cap(self, monkeypatch):
+        # {29,30}'s 2*max S run ends at heap 1741, past a 1000-heap cap:
+        # an x_cap past the cap needs it and is refused, one under the cap
+        # is answered from the heaps up to x_cap.
+        report = check_observation("one-greedy", Ruleset((29, 30)), 500)
+        monkeypatch.setattr(core, "TABLE_HEAP_LIMIT", 1000)
+        with pytest.raises(ValueError, match="above the supported"):
+            check_observation("one-greedy", Ruleset((29, 30)), 5000)
+        assert check_observation("one-greedy", Ruleset((29, 30)), 500) == report
 
     def test_report_dict_schema(self):
         d = check_observation("last-move", Ruleset((2, 3)), 29).as_dict()
@@ -370,18 +391,8 @@ class TestSacrificeScan:
         assert not by_x[49].consistent
 
     def test_finding_matches_trace_replay(self):
-        from cumsub import canonical_trace
-
         rs = Ruleset((2, 10, 13, 14))
-        trace = canonical_trace(rs, 35)
-        heap = 35
-        sizes = {Mover.POSITIVE: 0, Mover.NEGATIVE: 0}
-        for move in trace.moves:
-            sac = rs.greedy_action(heap) - move.action
-            sizes[move.mover] = max(sizes[move.mover], sac)
-            heap -= move.action
-        assert sizes[Mover.POSITIVE] == 4
-        assert sizes[Mover.NEGATIVE] == 1
+        assert _replayed_sacrifices(rs, 35, build_outcome_table(rs, 35))[:2] == (4, 1)
 
     def test_small_sweep_has_no_double_sacrifices(self):
         assert scan_sacrifice_conjecture(5, 60) == []
@@ -391,6 +402,27 @@ class TestSacrificeScan:
             scan_sacrifice_conjecture(3, 100)
         with pytest.raises(ValueError):
             scan_sacrifice_conjecture(10, -1)
+        # The one scan whose findings grow with x_cap keeps the heap cap.
+        with pytest.raises(ValueError, match="x_cap 20000000 lies above the supported 19999999"):
+            scan_sacrifice_conjecture(4, core.TABLE_HEAP_LIMIT)
+
+    def test_block_hits_recur_up_to_a_far_x_cap(self, monkeypatch):
+        # {4,6,7,16,21} cuts at 115 with hits 73 and 94 in its block
+        # [73, 115), so they recur every 42 heaps; 99991 = 73 + 42*2379
+        # is the last of them.  The top 84 heaps are replayed.
+        rs = Ruleset((4, 6, 7, 16, 21))
+        monkeypatch.setattr(analysis, "rulesets_with_max_at_most", lambda max_s, sizes: [rs])
+        x_cap = 99991
+        findings = scan_sacrifice_conjecture(21, x_cap)
+        near = scan_sacrifice_conjecture(21, 300)
+        assert findings[:len(near)] == near
+        repeats = {x for h in (73, 94) for x in range(h, x_cap + 1, 42)}
+        assert [f.x for f in findings] == sorted({31, 52} | repeats)
+        table = build_outcome_table(rs, x_cap)
+        replayed = {x: _replayed_sacrifices(rs, x, table)[:2] for x in range(x_cap - 83, x_cap + 1)}
+        top = {x: sizes for x, sizes in replayed.items() if all(sizes)}
+        assert {f.x: (f.positive_sacrifice, f.negative_sacrifice) for f in findings[-len(top):]} == top
+        assert findings[-1].x == x_cap
 
     def test_published_scale_sweep_falsifies(self):
         # The full sweep over 4- and 5-action sets in {1..15}, heaps to 300.

@@ -374,13 +374,27 @@ class TestScan:
         assert out == ""
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("conjecture", ["sacrifice", "last-move"])
+    @pytest.mark.parametrize("conjecture", ["sacrifice"])
     def test_x_cap_too_large_is_usage_error(self, capsys, conjecture):
         # 2*10^7 heaps: refused before any table or list of heaps is built.
         code, out, err = run(capsys, ["scan", conjecture, "--x-cap", "20000000"])
         assert code == 2
         assert out == ""
         assert "above the supported" in err
+
+    @pytest.mark.parametrize("conjecture", ["last-move", "one-greedy"])
+    def test_observation_scan_answers_past_the_heap_limit(self, capsys, conjecture):
+        # The observation scans read only the heaps below each pair's cut,
+        # all under 3000 at the default --max-s 12, so a larger x_cap
+        # changes nothing in the report but its parameters.
+        reports = []
+        for x_cap in ("3000", "20000000", "1000000000"):
+            code, out, _ = run(capsys, ["scan", conjecture, "--x-cap", x_cap])
+            assert code == 0
+            reports.append(json.loads(out))
+            reports[-1]["parameters"].pop("x_cap")
+        assert reports[0]["verdict"] == "holds"
+        assert reports[1:] == reports[:1] * 2
 
     def test_unknown_conjecture_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

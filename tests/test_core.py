@@ -97,15 +97,6 @@ class TestRuleset:
         assert rs.playable(6) == (5,)
         assert rs.playable(7) == (5, 7)
 
-    def test_greedy_action(self):
-        rs = Ruleset((5, 7))
-        assert rs.greedy_action(5) == 5
-        assert rs.greedy_action(6) == 5
-        assert rs.greedy_action(7) == 7
-        assert rs.greedy_action(100) == 7
-        with pytest.raises(ValueError):
-            rs.greedy_action(4)
-
 
 class TestMover:
     def test_signs(self):

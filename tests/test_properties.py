@@ -106,7 +106,7 @@ def _replayed_sacrifices(rs, x, table):
     largest = {Mover.POSITIVE: 0, Mover.NEGATIVE: 0}
     heap = x
     for move in trace.moves:
-        sac = rs.greedy_action(heap) - move.action
+        sac = rs.playable(heap)[-1] - move.action
         largest[move.mover] = max(largest[move.mover], sac)
         heap -= move.action
     positive_last = bool(trace.moves) and trace.moves[-1].mover is Mover.POSITIVE
@@ -164,11 +164,15 @@ scan_rulesets = st.integers(4, 22).flatmap(
 # No ruleset with max S <= 15 has a double sacrifice at or past its cut
 # greedy_from + max S, so these do.  {4,6,7,16,21} cuts at 115 and has
 # one at 73 = 115 - 2*21: x_cap = 115 reads it shifted to 115, and
-# x_cap = 114 reads no heap past the cut.  {2,3,12,20} cuts at 72 and
-# has them at 51 and 71, read again at 91, 111, 131, 151, ...
+# x_cap = 114 reads no heap past the cut.  Its block hits 73 and 94 recur
+# three periods past the cut at 241 = x_cap and 262, and further by 300.
+# {2,3,12,20} cuts at 72 and has them at 51 and 71, read again at 91,
+# 111, 131, 151, ...
 @example(rs=Ruleset((4, 6, 7, 16, 21)), x_cap=115)
 @example(rs=Ruleset((4, 6, 7, 16, 21)), x_cap=114)
 @example(rs=Ruleset((4, 6, 7, 16, 21)), x_cap=200)
+@example(rs=Ruleset((4, 6, 7, 16, 21)), x_cap=241)
+@example(rs=Ruleset((4, 6, 7, 16, 21)), x_cap=300)
 @example(rs=Ruleset((2, 3, 12, 20)), x_cap=200)
 def test_sacrifice_scan_matches_trace_replay(rs, x_cap):
     # The scan sweeps this one ruleset, against a canonical trace
