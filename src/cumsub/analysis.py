@@ -4,10 +4,12 @@ Every game with at least two actions eventually settles: from some heap
 size onward the optimal action is constantly the largest action, and
 that happens no later than 2*(max S)^2.  Past that point the outcome
 sequence is periodic with period dividing 2*max S.  This module locates
-the convergence point in one DP pass that stops once its greedy_from
-lies 4*max S heaps below its top; 2*max S of them prove that opt stays
-max S on every larger heap.  It also certifies the eventual period and
-provides falsification sweeps for observed regularities of optimal play
+the convergence point without a table: a pair by the two-action closed
+form, any other set by one DP pass that keeps O(max S) heaps and stops
+once its greedy_from lies 4*max S heaps below its top; 2*max S of them
+prove that opt stays max S on every larger heap.  It also certifies the
+eventual period on the 4*max S outcomes from xi, and provides
+falsification sweeps for observed regularities of optimal play
 (who sacrifices, who moves last, how large sacrifices are).  Those sweeps
 stop their DP pass at the 2*max S heaps that certify the tail.  Each start
 heap past greedy_from + max S has the trace summaries of the one a
@@ -22,19 +24,30 @@ from itertools import compress
 from operator import mul
 
 from . import core
+from .closed_form import _outcomes_from_xi, build_two_action
 from .core import (
     OutcomeTable,
     PlayTrace,
     Report,
     Ruleset,
+    TheoremViolationError,
     _solved_table,
     canonical_trace,
     rulesets_with_max_at_most,
 )
 
+# A convergence pass holds O(max S) heaps however many it solves, so its
+# bound is one of time, not memory.  {1,3999,4000} solves 3.2*10^7 heaps
+# in 11 s (0.35 us a heap, CPython 3.11 on a 2-vCPU VM), so this many
+# take about 35 s.  A set with no certificate within them is refused.
+CONVERGENCE_HEAP_LIMIT = 100_000_000
 
-class TheoremViolationError(RuntimeError):
-    """A computation contradicted a proven statement; the solver is buggy."""
+# The least number of heaps a convergence pass keeps, and solves between
+# trims.  A trim costs O(keep), since the deque kernel rebases every kept
+# g value: trims every 4*max S heaps made the kernels of trunc 2 60 about
+# 15% slower, and trims every 4096 heaps about 4%.  4096 heaps take well
+# under 1 MiB.
+CONVERGENCE_KEEP_MIN = 4096
 
 
 def convergence_bound(ruleset: Ruleset) -> int:
@@ -94,46 +107,74 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     The constant action is always max S.  A caller's table of this
     ruleset is read when it reaches greedy_from + 4*max S - 1 or
     default_x_max (a table of another ruleset raises ValueError).
-    Otherwise one DP pass from heap 0 stops once greedy_from lies 4*max S
-    heaps below its top, or at default_x_max.  The first 2*max S heaps
-    of that run certify opt = max S on every heap from xi = greedy_from
-    on (see build_outcome_table), so the report is the same whatever
-    table the caller passes, and all 4*max S are solved, never filled,
-    and certify the period from xi (see eventual_period).  A certificate
-    past TABLE_HEAP_LIMIT heaps raises ValueError, with no heap solved
-    when 5*max S exceeds that limit.  A non-greedy opt beyond the proven
-    bound 2*(max S)^2, no certificate by default_x_max, or no period from
-    xi is a theorem violation.
+    Otherwise no table is built.  A pair takes xi from the two-action
+    closed form (see closed_form) and the 4*max S outcomes from xi from
+    its descent rule.  Any other set runs one DP pass from heap 0 that
+    keeps only its last max(4*max S, CONVERGENCE_KEEP_MIN) heaps (the
+    kernels' keep), and stops once greedy_from lies 4*max S heaps below
+    its top, or at default_x_max.  The first 2*max S heaps of that run
+    certify opt = max S on every heap from xi = greedy_from on (see
+    build_outcome_table), so the report is the same whatever table the
+    caller passes, and all 4*max S are solved, never filled, and certify
+    the period from xi (see eventual_period).
+
+    Both paths hold O(max S) heaps, so a max S with 5*max S above
+    TABLE_HEAP_LIMIT raises ValueError before anything is allocated: xi is
+    at least max S, so no certificate ends before heap 5*max S - 1.  A DP
+    pass with no certificate within CONVERGENCE_HEAP_LIMIT solved heaps
+    raises ValueError once it has solved them.  xi beyond the proven bound
+    2*(max S)^2, no certificate by default_x_max, or no period from xi is
+    a theorem violation.
     """
     m = ruleset.max_action
     bound = convergence_bound(ruleset)
     cap = default_x_max(ruleset)
     if table is not None and table.ruleset != ruleset:
         raise ValueError(f"supplied table is for {table.ruleset}, not {ruleset}")
-    if table is None or table.x_max < min(table.greedy_from + 4 * m - 1, cap):
-        limit = min(cap, core.TABLE_HEAP_LIMIT - 1)
-        if 5 * m - 1 <= limit:  # xi >= max S, so the run ends at 5*max S - 1 or later
-            table = _solved_table(ruleset, limit, 0, 4 * m)
-        if table is None or table.x_max < min(table.greedy_from + 4 * m - 1, cap):
-            raise ValueError(f"the convergence certificate of {ruleset} lies above the supported {core.TABLE_HEAP_LIMIT} heaps")
-    if table.greedy_from > table.x_max + 1 - 2 * m:
-        raise TheoremViolationError(f"no convergence certificate by heap {table.x_max} for {ruleset}")
-    xi = table.greedy_from
+    if table is not None and table.x_max >= min(table.greedy_from + 4 * m - 1, cap):
+        xi, top = table.greedy_from, table.x_max
+        tail = table.outcomes[xi:xi + 4 * m]
+    elif 5 * m > core.TABLE_HEAP_LIMIT:
+        raise ValueError(f"max S = {m} needs windows of 5*max S heaps, above the supported {core.TABLE_HEAP_LIMIT}")
+    elif ruleset.is_two_action:
+        sol = build_two_action(ruleset.min_action, m)
+        xi, top = sol.xi, sol.xi + 4 * m - 1
+        tail = _outcomes_from_xi(sol)
+    else:
+        limit = min(cap, CONVERGENCE_HEAP_LIMIT - 1)
+        o, _, last = core._solve(ruleset, limit, 4 * m, max(4 * m, CONVERGENCE_KEEP_MIN))
+        xi, top = last + 1, min(last + 4 * m, limit)
+        if top < min(last + 4 * m, cap):
+            raise ValueError(
+                f"the convergence certificate of {ruleset} lies above the supported {CONVERGENCE_HEAP_LIMIT} solved heaps"
+            )
+        tail = o[-4 * m:]
+    if xi > top + 1 - 2 * m:
+        raise TheoremViolationError(f"no convergence certificate by heap {top} for {ruleset}")
     if xi > bound:
-        raise TheoremViolationError(
-            f"xi = {xi}, opt({xi - 1}) = {table.opts[xi - 1]} != {m}: beyond the convergence bound {bound} for {ruleset}"
-        )
-    try:
-        period = eventual_period(table, xi)
-    except ValueError as exc:
-        raise TheoremViolationError(f"{exc} past the certified xi") from exc
+        raise TheoremViolationError(f"xi = {xi} lies beyond the convergence bound {bound} for {ruleset}")
+    period = _tail_period(tail, m)
+    if period is None:
+        raise TheoremViolationError(f"no period dividing {2 * m} from the certified xi = {xi} for {ruleset}")
     return ConvergenceReport(
         ruleset=ruleset,
         xi=xi,
         converged_action=m,
         bound_satisfied=xi <= bound,
-        period=period,
+        period=PeriodReport(period=period, tail_start=xi),
     )
+
+
+def _tail_period(tail, m: int) -> int | None:
+    """Least p dividing 2*m with tail[p:] == tail[:-p], or None.
+
+    tail holds the 4*m outcomes from some heap (see eventual_period).
+    """
+    for p in range(1, 2 * m + 1):
+        # tail[p] == tail[0] rejects most divisors before any slice is built.
+        if (2 * m) % p == 0 and tail[p] == tail[0] and tail[p:] == tail[:-p]:
+            return p
+    return None
 
 
 def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
@@ -148,7 +189,8 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
     with them every later value: the period holds on every heap from
     tail_start on, not just inside the window.  A tail not yet periodic
     raises ValueError; the tail from convergence_point's xi is always
-    periodic.
+    periodic.  convergence_point runs the same divisor search on the tail
+    it reads, with no table.
     """
     m = table.ruleset.max_action
     if tail_start < 0 or tail_start > table.x_max:
@@ -158,14 +200,12 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
             f"window too small: need tail_start + {4 * m - 1} <= x_max, "
             f"got tail_start={tail_start}, x_max={table.x_max}"
         )
-    tail = table.outcomes[tail_start:tail_start + 4 * m]
-    for p in range(1, 2 * m + 1):
-        # tail[p] == tail[0] rejects most divisors before any slice is built.
-        if (2 * m) % p == 0 and tail[p] == tail[0] and tail[p:] == tail[:-p]:
-            return PeriodReport(period=p, tail_start=tail_start)
-    raise ValueError(
-        f"no period dividing {2 * m} on tail [{tail_start}, {table.x_max}] for {table.ruleset}"
-    )
+    period = _tail_period(table.outcomes[tail_start:tail_start + 4 * m], m)
+    if period is None:
+        raise ValueError(
+            f"no period dividing {2 * m} on tail [{tail_start}, {table.x_max}] for {table.ruleset}"
+        )
+    return PeriodReport(period=period, tail_start=tail_start)
 
 
 def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[int, list[int], list[int], list[bool]]:

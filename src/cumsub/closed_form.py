@@ -21,6 +21,9 @@ terminal; o(x) = o(y) after an even number of steps and s1 - o(y) after
 an odd number.  o(y) is s1 - i*alpha on X*(i) for i >= 2.  X*(1) is
 exactly [s2, s1), where only s2 is playable: there, as at terminal heaps,
 o(y) is the s2 parity race, s2 if y // s2 is odd and 0 otherwise.
+
+convergence_point answers every pair from here, with build_two_action's xi
+and the 4*s1 outcomes from xi that _outcomes_from_xi gives.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
-from .analysis import TheoremViolationError
-from .core import TABLE_HEAP_LIMIT, Report, Ruleset
+from .core import TABLE_HEAP_LIMIT, Report, Ruleset, TheoremViolationError
 
 
 def full_support_outcome(s1: int, x: int) -> int:
@@ -127,6 +129,13 @@ def two_action_opt(sol: TwoActionSolution, x: int) -> int:
     return sol.s2 if x in sol.members else sol.s1
 
 
+def _stop_outcome(sol: TwoActionSolution, y: int) -> int:
+    """o(y) at a heap y where a descent by s1 stops: terminal or in X*."""
+    if y < sol.s1:  # terminal or X*(1): the s2 parity race
+        return sol.s2 if (y // sol.s2) % 2 else 0
+    return sol.s1 - sol.block_index(y) * sol.alpha
+
+
 def two_action_outcome(sol: TwoActionSolution, x: int) -> int:
     """o(x) without dynamic programming: the descent rule of the module docstring."""
     if x < 0:
@@ -134,11 +143,29 @@ def two_action_outcome(sol: TwoActionSolution, x: int) -> int:
     s1 = sol.s1
     stops = sol._stops[x % s1]
     y = stops[bisect.bisect_right(stops, x) - 1]
-    if y < s1:  # terminal or X*(1): the s2 parity race
-        base = sol.s2 if (y // sol.s2) % 2 else 0
-    else:
-        base = s1 - sol.block_index(y) * sol.alpha
+    base = _stop_outcome(sol, y)
     return s1 - base if (x - y) // s1 % 2 else base
+
+
+def _outcomes_from_xi(sol: TwoActionSolution) -> list[int]:
+    """o(x) for the 4*s1 heaps x = xi, ..., xi + 4*s1 - 1, in one pass over residues.
+
+    Each of them lies past every X* member, so it descends by s1 to the
+    last stop of its residue mod s1, with no bisect.  A residue has four
+    heaps in the window, s1 apart, so their descents alternate between an
+    even and an odd number of steps.
+    """
+    s1, xi = sol.s1, sol.xi
+    tail = [0] * (4 * s1)
+    for r, stops in enumerate(sol._stops):
+        y = stops[-1]
+        i = (r - xi) % s1  # heap xi + i is the first of residue r in the window
+        v = _stop_outcome(sol, y)
+        if (xi + i - y) // s1 % 2:
+            v = s1 - v
+        tail[i] = tail[i + 2 * s1] = v
+        tail[i + s1] = tail[i + 3 * s1] = s1 - v
+    return tail
 
 
 def complementary_next(sol: TwoActionSolution, negatives_last: int | None = None) -> int:

@@ -36,6 +36,10 @@ TABLE_HEAP_LIMIT = 20_000_000
 DEQUE_MIN_ACTIONS = 5
 
 
+class TheoremViolationError(RuntimeError):
+    """A computation contradicted a proven statement; the solver is buggy."""
+
+
 class Mover(Enum):
     """The player about to move.  Positive maximizes, Negative minimizes."""
 
@@ -182,16 +186,26 @@ def _check_x_max(x_max: int) -> None:
         )
 
 
-def _table_generic(ruleset: Ruleset, limit: int, run: int) -> tuple[list[int], list[int | None], int]:
+def _table_generic(ruleset: Ruleset, limit: int, run: int, keep: int | None = None) -> tuple[list[int], list[tuple[int, int]], int]:
     """Solve heaps 0..limit in order; stop once `run` heaps in a row have opt max S.
 
-    Returns o and opts, grown heap by heap up to that stop or to limit,
-    and the last heap in them whose opt is not max S, terminal heaps
-    included, so the stop is that heap + run.  A run of 2*max S certifies
-    the tail (see build_outcome_table), and the trace summaries stop
-    there.  build_outcome_table and convergence_point pass 4*max S, so
-    that the 4*max S heaps from xi that eventual_period reads in
-    convergence_point's self-check are all solved here, never filled.
+    Returns o, the sparse opts and last.  o holds the outcomes up to that
+    stop or to limit, the top heap solved, which is min(last + run, limit).
+    last is the last heap whose opt is not max S, terminal heaps included,
+    so the stop is last + run.  Every other solved heap has opt max S, so
+    the sparse opts record only the non-greedy heaps that are not
+    terminal, as (index in o, opt) pairs in heap order.  A run of
+    2*max S certifies the tail (see build_outcome_table), and the trace
+    summaries stop there.  build_outcome_table and convergence_point pass
+    4*max S, so that the 4*max S heaps from xi whose period they certify
+    are all solved, never filled.
+
+    With keep = None, o starts at heap 0, so an index in o is its heap.
+    With keep set, at least max S, the kernel solves chunks of keep
+    heaps and between them trims o to its last keep heaps and drops the
+    pairs recorded so far, so it holds O(keep) heaps whatever the stop.
+    o then still ends at the top heap and holds at least its last keep
+    heaps, which is all that convergence_point reads besides last.
 
     The largest playable action seeds best: max S from heap max S on,
     and below it the largest action bisect finds playable.  The other
@@ -203,29 +217,42 @@ def _table_generic(ruleset: Ruleset, limit: int, run: int) -> tuple[list[int], l
     desc = acts[-2::-1]  # the actions below max S, largest first
     first = min(ruleset.min_action, limit + 1)
     o: list[int] = [0] * first
-    opts: list[int | None] = [None] * first
+    sparse: list[tuple[int, int]] = []
     last = first - 1
-    for x in range(first, limit + 1):
-        if x >= m:
-            best_s, rest = m, desc
-        else:
-            i = bisect.bisect_right(acts, x)
-            best_s, rest = acts[i - 1], desc[len(acts) - i:]
-        best = best_s - o[x - best_s]
-        for s in rest:
-            v = s - o[x - s]
-            if v > best:
-                best, best_s = v, s
-        o.append(best)
-        opts.append(best_s)
-        if best_s != m:
-            last = x
-        elif x - last >= run:
-            break
-    return o, opts, last
+    base = 0  # heaps trimmed off the front: o[i] is heap base + i
+    start, step = first, limit + 1 if keep is None else keep
+    while True:
+        # Indices, not heaps: both count from base.  An index below max S
+        # is its heap, since the first trim leaves keep >= max S of them.
+        end = min(limit + 1 - base, start + step)
+        for x in range(start, end):
+            if x >= m:
+                best_s, rest = m, desc
+            else:
+                i = bisect.bisect_right(acts, x)
+                best_s, rest = acts[i - 1], desc[len(acts) - i:]
+            best = best_s - o[x - best_s]
+            for s in rest:
+                v = s - o[x - s]
+                if v > best:
+                    best, best_s = v, s
+            o.append(best)
+            if best_s != m:
+                last = x
+                sparse.append((x, best_s))
+            elif x - last >= run:
+                return o, sparse, base + last
+        if end == limit + 1 - base:
+            return o, sparse, base + last
+        drop = len(o) - keep
+        del o[:drop]
+        sparse.clear()
+        base += drop
+        last -= drop
+        start = end - drop
 
 
-def _table_contiguous(ruleset: Ruleset, limit: int, run: int) -> tuple[list[int], list[int | None], int]:
+def _table_contiguous(ruleset: Ruleset, limit: int, run: int, keep: int | None = None) -> tuple[list[int], list[tuple[int, int]], int]:
     """Sliding-window variant for contiguous action sets {lo, ..., hi}.
 
     _solved_table sends it the contiguous sets of at least
@@ -238,35 +265,60 @@ def _table_contiguous(ruleset: Ruleset, limit: int, run: int) -> tuple[list[int]
     amortized O(1).  The deque keeps the smallest y among equal g values
     in front, which reproduces the largest-action tie-break exactly.
     g(y) = y on terminal heaps, where o = 0.  Stops after `run` greedy
-    heaps and returns as _table_generic does.
+    heaps, and takes keep and returns as _table_generic does.  g and the
+    deque hold indices counted from the trimmed base, so a trim of d heaps
+    lowers every g value and every deque entry by d: o(x) = x - g(y) is
+    unchanged, and so is the order of g in the deque.
     """
     lo, hi = ruleset.min_action, ruleset.max_action
     first = min(lo, limit + 1)
     o: list[int] = [0] * first
-    opts: list[int | None] = [None] * first
+    sparse: list[tuple[int, int]] = []
     g: list[int] = list(range(first))
     last = first - 1
     window: deque[int] = deque()
-    for x in range(first, limit + 1):
-        y_new = x - lo
-        while window and g[window[-1]] > g[y_new]:
-            window.pop()
-        window.append(y_new)
-        cut = x - hi
-        while window[0] < cut:
-            window.popleft()
-        y = window[0]
-        v = x - g[y]
-        o.append(v)
-        g.append(x + v)
-        if y != cut:
-            opts.append(x - y)
-            last = x
-        else:
-            opts.append(hi)  # one shared int object, not a new one per heap
-            if x - last >= run:
-                break
-    return o, opts, last
+    base = 0
+    start, step = first, limit + 1 if keep is None else keep
+    while True:
+        end = min(limit + 1 - base, start + step)
+        for x in range(start, end):
+            y_new = x - lo
+            while window and g[window[-1]] > g[y_new]:
+                window.pop()
+            window.append(y_new)
+            cut = x - hi
+            if window[0] < cut:  # cut rises by one a heap, so only the front falls out
+                window.popleft()
+            y = window[0]
+            v = x - g[y]
+            o.append(v)
+            g.append(x + v)
+            if y != cut:
+                last = x
+                sparse.append((x, x - y))
+            elif x - last >= run:
+                return o, sparse, base + last
+        if end == limit + 1 - base:
+            return o, sparse, base + last
+        drop = len(o) - keep
+        del o[:drop]
+        g = [v - drop for v in g[drop:]]
+        window = deque([y - drop for y in window])
+        sparse.clear()
+        base += drop
+        last -= drop
+        start = end - drop
+
+
+def _solve(ruleset: Ruleset, limit: int, run: int, keep: int | None = None) -> tuple[list[int], list[tuple[int, int]], int]:
+    """One DP pass by the kernel this ruleset is fastest on; both return the same.
+
+    A contiguous set of at least DEQUE_MIN_ACTIONS actions goes to the
+    deque kernel, every other set to the generic one.
+    """
+    deque_kernel = ruleset.is_contiguous and len(ruleset.actions) >= DEQUE_MIN_ACTIONS
+    kernel = _table_contiguous if deque_kernel else _table_generic
+    return kernel(ruleset, limit, run, keep)
 
 
 def _fill_period(seq: list, start: int, lag: int) -> None:
@@ -307,20 +359,21 @@ def _solved_table(ruleset: Ruleset, limit: int, x_max: int, run: int) -> Outcome
 
     The table ends at x_max or at the kernel's stop, whichever is larger,
     so x_max = 0 gives the solved heaps alone.  A run of at least 2*max S
-    keeps the fill exact (see build_outcome_table).  A contiguous set of
-    at least DEQUE_MIN_ACTIONS actions goes to the deque kernel, every
-    other set to the generic one; both give the same lists.
+    keeps the fill exact (see build_outcome_table).  The kernel's sparse
+    opts expand into the table's: None below min S, max S elsewhere, and
+    each recorded pair patched in.
     """
-    deque_kernel = ruleset.is_contiguous and len(ruleset.actions) >= DEQUE_MIN_ACTIONS
-    kernel = _table_contiguous if deque_kernel else _table_generic
-    o, opts, last = kernel(ruleset, limit, run)
+    o, sparse, last = _solve(ruleset, limit, run)
     n, m = len(o), ruleset.max_action
     o += [0] * (x_max + 1 - n)
     _fill_period(o, n, 2 * m)
-    opts += [m] * (x_max + 1 - n)
     outcomes = tuple(o)
     del o  # one list at a time: never both lists and both tuples at once
-    return OutcomeTable(ruleset, len(outcomes) - 1, outcomes, tuple(opts), greedy_from=last + 1)
+    size, lo = len(outcomes), ruleset.min_action
+    opts: list[int | None] = [None] * min(lo, size) + [m] * (size - lo)
+    for x, s in sparse:
+        opts[x] = s
+    return OutcomeTable(ruleset, size - 1, outcomes, tuple(opts), greedy_from=last + 1)
 
 
 def minimax_values(ruleset: Ruleset, x_max: int) -> tuple[int, ...]:

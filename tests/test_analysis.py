@@ -29,6 +29,7 @@ from cumsub import (
     eventual_period,
     minimax_values,
     observation_sweep_report,
+    rulesets_with_max_at_most,
     sacrifice_conjecture_report,
     scan_sacrifice_conjecture,
 )
@@ -46,14 +47,15 @@ def naive_minimal_period(values, tail_start, p_cap):
 
 
 def _record_kernel_calls(monkeypatch):
-    """Wrap both DP kernels; the list returned collects each call's table length."""
+    """Wrap both DP kernels; the list returned collects the heaps each call
+    solved, 0..min(last + run, limit), whether it kept them all or not."""
     lengths = []
 
     def recording(kernel):
-        def call(ruleset, limit, run):
-            o, opts, last = kernel(ruleset, limit, run)
-            lengths.append(len(o))
-            return o, opts, last
+        def call(ruleset, limit, run, keep=None):
+            o, sparse, last = kernel(ruleset, limit, run, keep)
+            lengths.append(min(last + run, limit) + 1)
+            return o, sparse, last
         return call
 
     for name in ("_table_contiguous", "_table_generic"):
@@ -94,15 +96,28 @@ class TestConvergencePoint:
         assert convergence_point(rs, small).xi == 31
 
     def test_refuses_a_certificate_past_the_heap_cap(self, monkeypatch):
-        # {29,30} certifies xi = 1682, past a 1000-heap cap, so it is
-        # refused; {1..30} certifies under the cap although its
+        # {1,29,30} certifies xi = 1623, so its pass solves heaps up to
+        # xi + 4*30 - 1 = 1742: past a 1000-heap work bound, so it is
+        # refused; {1..30} certifies under the bound although its
         # default_x_max, 1920, lies above it.
-        monkeypatch.setattr(core, "TABLE_HEAP_LIMIT", 1000)
-        with pytest.raises(ValueError, match="above the supported"):
-            convergence_point(Ruleset((29, 30)))
+        monkeypatch.setattr(analysis, "CONVERGENCE_HEAP_LIMIT", 1000)
+        with pytest.raises(ValueError, match="above the supported 1000 solved heaps"):
+            convergence_point(Ruleset((1, 29, 30)))
         full = Ruleset(tuple(range(1, 31)))
         assert default_x_max(full) > 1000
         assert convergence_point(full).xi == 30
+
+    def test_work_bound_counts_the_solved_heaps(self, monkeypatch):
+        # {1,29,30}'s pass solves the 1743 heaps 0..1742: a bound of that
+        # many heaps certifies it, and one heap fewer refuses it.
+        rs = Ruleset((1, 29, 30))
+        lengths = _record_kernel_calls(monkeypatch)
+        monkeypatch.setattr(analysis, "CONVERGENCE_HEAP_LIMIT", 1743)
+        assert convergence_point(rs).xi == 1623
+        monkeypatch.setattr(analysis, "CONVERGENCE_HEAP_LIMIT", 1742)
+        with pytest.raises(ValueError, match="above the supported 1742 solved heaps"):
+            convergence_point(rs)
+        assert lengths == [1743, 1742]
 
     def test_refuses_a_large_max_s_before_solving(self, monkeypatch):
         # xi >= max S, so {1,201}'s run ends at heap 5*201 - 1 = 1004 or
@@ -203,8 +218,8 @@ class TestConvergencePoint:
         # One kernel call solves heaps 0..xi + 4*max S - 1 and stops; a
         # caller's table that holds those heaps is read with no call, and
         # one a heap short of them is solved again.
-        rs = Ruleset((99, 100))
-        xi = 2 * 99**2
+        rs = Ruleset((1, 99, 100))
+        xi = 19403
         window = build_outcome_table(rs, xi + 4 * 100 - 1)
         short = build_outcome_table(rs, xi + 4 * 100 - 2)
         lengths = _record_kernel_calls(monkeypatch)
@@ -220,6 +235,87 @@ class TestConvergencePoint:
         # not filled by period.
         build_outcome_table(rs, xi + 4 * 100 + 50)
         assert lengths == [xi + 4 * 100] * 3
+
+    def test_pairs_solve_no_heap(self, monkeypatch):
+        # A pair is answered by the two-action closed form, with no DP
+        # pass, so a work bound far below its xi does not refuse it.
+        lengths = _record_kernel_calls(monkeypatch)
+        monkeypatch.setattr(analysis, "CONVERGENCE_HEAP_LIMIT", 1000)
+        report = convergence_point(Ruleset((99, 100)))
+        assert (report.xi, report.period.period) == (2 * 99**2, 200)
+        assert lengths == []
+
+    def test_pairs_match_the_dp_exhaustively(self):
+        # The closed-form path against the DP certificate read from a
+        # caller's table, on every pair with max S <= 40.
+        for rs in rulesets_with_max_at_most(40, (2,)):
+            table = build_outcome_table(rs, default_x_max(rs))
+            assert convergence_point(rs) == convergence_point(rs, table), rs
+
+    @pytest.mark.parametrize("actions", [(5, 7), (3, 7, 8), (2, 3, 4, 5, 6, 7)])
+    @pytest.mark.parametrize("path", ["table", "solved"])
+    @pytest.mark.parametrize("heap", ["xi", "xi + 4m - 1"])
+    def test_every_tail_heap_is_read(self, monkeypatch, actions, path, heap):
+        # The period is checked on all 4*max S heaps from xi: a wrong
+        # outcome in the first or the last of them is no period dividing
+        # 2*max S, whether it comes from a caller's table, the DP pass
+        # (generic and deque kernels) or the closed form for a pair.
+        rs = Ruleset(actions)
+        m = rs.max_action
+        xi = convergence_point(rs).xi
+        cell = 0 if heap == "xi" else 4 * m - 1
+        if path == "table":
+            real = build_outcome_table(rs, default_x_max(rs))
+            outcomes = list(real.outcomes)
+            outcomes[xi + cell] += 1
+            forged = OutcomeTable(rs, real.x_max, tuple(outcomes), real.opts, real.greedy_from)
+            with pytest.raises(TheoremViolationError, match=f"no period dividing {2 * m}"):
+                convergence_point(rs, forged)
+            return
+        if rs.is_two_action:
+            real_tail = analysis._outcomes_from_xi
+
+            def forged_tail(sol):
+                tail = real_tail(sol)
+                tail[cell] += 1
+                return tail
+            monkeypatch.setattr(analysis, "_outcomes_from_xi", forged_tail)
+        else:
+            real_solve = core._solve
+
+            def forged_solve(ruleset, limit, run, keep=None):
+                o, sparse, last = real_solve(ruleset, limit, run, keep)
+                o[cell - 4 * m] += 1
+                return o, sparse, last
+            monkeypatch.setattr(core, "_solve", forged_solve)
+        with pytest.raises(TheoremViolationError, match=f"no period dividing {2 * m}"):
+            convergence_point(rs)
+
+    @pytest.mark.parametrize(
+        "actions, offset",
+        [
+            # xi is the first heap after a trim, so the 4*max S heaps from
+            # it are one whole chunk, and the pass stops on its last heap.
+            ((2, 5, 7), 0),
+            # xi is the last heap before a trim: the trim keeps it and the
+            # 4*max S - 1 heaps below it, and the tail runs past it.
+            ((3, 5, 6), 4 * 6 - 1),
+            # Fourteen trims, the tail straddling the last of them.
+            ((1, 29, 30), 62),
+            # The deque kernel, whose trims also rebase g and the window.
+            (tuple(range(22, 27)), 84),
+        ],
+    )
+    def test_streaming_pass_at_a_trim(self, monkeypatch, actions, offset):
+        # With no floor on what it keeps, the pass trims its lists to the
+        # last 4*max S heaps at every 4*max S heaps from min S; the report
+        # is the one a caller's untrimmed table gives.
+        monkeypatch.setattr(analysis, "CONVERGENCE_KEEP_MIN", 0)
+        rs = Ruleset(actions)
+        m = rs.max_action
+        report = convergence_point(rs)
+        assert (report.xi - rs.min_action) % (4 * m) == offset
+        assert report == convergence_point(rs, build_outcome_table(rs, default_x_max(rs)))
 
 
 class TestEventualPeriod:

@@ -21,9 +21,11 @@ from cumsub import (
     complementary_next,
     full_support_opt,
     full_support_outcome,
+    rulesets_with_max_at_most,
     two_action_opt,
     two_action_outcome,
 )
+from cumsub.closed_form import _outcomes_from_xi
 from cumsub.core import TABLE_HEAP_LIMIT
 
 # o(x) for S={5,7}, x = 0..55 (same reference table as test_core).
@@ -207,6 +209,21 @@ class TestTwoActionOutcome:
                     assert two_action_outcome(sol, x) == table.outcomes[x], (s2, s1, x)
                     if x >= s2:
                         assert two_action_opt(sol, x) == table.opts[x], (s2, s1, x)
+
+
+class TestOutcomesFromXi:
+    """The 4*s1 outcomes from xi that convergence_point's period check reads."""
+
+    def test_frozen_5_7(self):
+        # xi = 31, and O_57 holds heaps up to 55: the first 25 of 28.
+        assert _outcomes_from_xi(build_two_action(5, 7))[:25] == list(O_57[31:])
+
+    def test_equals_dp_for_every_pair_up_to_40(self):
+        for rs in rulesets_with_max_at_most(40, (2,)):
+            s2, s1 = rs.actions
+            sol = build_two_action(s2, s1)
+            table = build_outcome_table(rs, sol.xi + 4 * s1 - 1)
+            assert _outcomes_from_xi(sol) == list(table.outcomes[sol.xi:]), rs
 
 
 class TestTwoActionOpt:

@@ -218,8 +218,13 @@ class TestPeriodHelpers:
 
 def _kernel_table(kernel, rs, limit, run):
     """Run one DP kernel from heap 0 until `run` heaps with opt max S stop
-    it: (last non-greedy heap, o, opt), which end at the stop or at limit."""
-    o, opts, last = kernel(rs, limit, run)
+    it: (last non-greedy heap, o, opt), which end at the stop or at limit.
+    opt is expanded from the kernel's sparse pairs: None below min S, and
+    max S on every solved heap that has no pair."""
+    o, sparse, last = kernel(rs, limit, run)
+    opts = [None] * min(rs.min_action, len(o)) + [rs.max_action] * (len(o) - rs.min_action)
+    for x, s in sparse:
+        opts[x] = s
     return last, o, opts
 
 
@@ -291,9 +296,9 @@ class TestContiguousFastPath:
         def spy(name):
             real = getattr(core, name)
 
-            def call(ruleset, limit, run):
+            def call(ruleset, limit, run, keep=None):
                 calls.append(name)
-                return real(ruleset, limit, run)
+                return real(ruleset, limit, run, keep)
             return call
 
         for name in ("_table_contiguous", "_table_generic"):
@@ -308,6 +313,34 @@ class TestContiguousFastPath:
         table = build_outcome_table(rs, 100)
         assert table.outcomes == minimax_values(rs, 100)
         assert list(table.opts) == _largest_maximizers(rs, 100)
+
+
+class TestStreamingKernels:
+    """With keep set, a kernel trims o to its last keep heaps between
+    chunks of keep heaps: what it returns is the tail of the whole pass."""
+
+    @pytest.mark.parametrize(
+        "actions", [(2, 3), (5, 7), (3, 7, 8), (2, 5, 6, 9), (3, 4, 5, 6, 7), (6, 7, 8, 9, 10, 11)]
+    )
+    def test_trimmed_pass_is_the_tail_of_the_whole_pass(self, actions):
+        # Every keep from max S up past the whole pass puts the trims at
+        # every offset to xi, to the run that stops the pass and to limit.
+        rs = Ruleset(actions)
+        m = rs.max_action
+        kernels = [_table_generic]
+        if rs.is_contiguous:
+            kernels.append(_table_contiguous)
+        for kernel in kernels:
+            for run in (2 * m, 4 * m):
+                _, _, last = kernel(rs, 10**6, run)
+                for limit in (last + run, last + run - 1, last):
+                    whole, _, whole_last = kernel(rs, limit, run)
+                    for keep in range(m, len(whole) + 2):
+                        tail, _, tail_last = kernel(rs, limit, run, keep)
+                        case = (kernel.__name__, run, limit, keep)
+                        assert tail_last == whole_last, case
+                        assert min(keep, len(whole)) <= len(tail) <= 2 * keep, case
+                        assert tail == whole[len(whole) - len(tail):], case
 
 
 class TestOptAction:

@@ -40,9 +40,11 @@ from cumsub import (
     two_action_outcome,
 )
 from cumsub.analysis import _trace_summaries
+from cumsub.closed_form import _outcomes_from_xi
 from test_multipile import _reference_export
 
 pairs = st.integers(2, 80).flatmap(lambda s1: st.tuples(st.integers(1, s1 - 1), st.just(s1)))
+wide_pairs = st.integers(2, 150).flatmap(lambda s1: st.tuples(st.integers(1, s1 - 1), st.just(s1)))
 
 rulesets = st.integers(2, 12).flatmap(
     lambda m: st.lists(st.integers(1, m - 1), min_size=1, max_size=3, unique=True).map(
@@ -267,6 +269,20 @@ def test_certified_xi_matches_full_table(rs):
     table = build_outcome_table(rs, default_x_max(rs))
     last = max(x for x in range(table.x_max + 1) if table.opts[x] != m)
     assert convergence_point(rs).xi == convergence_point(rs, table).xi == last + 1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(wide_pairs)
+@example((149, 150))  # xi = 2*149^2, the largest the property draws
+def test_closed_form_convergence_matches_the_dp(pair):
+    # convergence_point answers a pair from the closed form alone; the
+    # caller's table takes it through the DP certificate.
+    rs = Ruleset(pair)
+    table = build_outcome_table(rs, default_x_max(rs))
+    report = convergence_point(rs)
+    assert report == convergence_point(rs, table)
+    tail = table.outcomes[report.xi:report.xi + 4 * rs.max_action]
+    assert _outcomes_from_xi(build_two_action(*pair)) == list(tail)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -603,7 +619,7 @@ def test_oracles_share_no_code_with_the_builders():
     # The oracles are only independent while they call none of the code
     # they check.
     builders = {
-        "build_outcome_table", "_solved_table", "_table_generic", "_table_contiguous",
+        "build_outcome_table", "_solved_table", "_solve", "_table_generic", "_table_contiguous",
         "greedy_from",
         "build_grid", "_solve_row", "_solve_rows", "_shift_holds", "_certify_shift",
         "ShiftCertificate",
