@@ -6,12 +6,13 @@ that happens no later than 2*(max S)^2.  Past that point the outcome
 sequence is periodic with period dividing 2*max S.  This module locates
 the convergence point without a table: a pair by the two-action closed
 form, any other set by one DP pass that keeps O(max S) heaps and stops
-once its greedy_from lies 4*max S heaps below its top; 2*max S of them
-prove that opt stays max S on every larger heap.  It also certifies the
-eventual period on the 4*max S outcomes from xi, and provides
-falsification sweeps for observed regularities of optimal play
-(who sacrifices, who moves last, how large sacrifices are).  Those sweeps
-stop their DP pass at the 2*max S heaps that certify the tail.  Each start
+once its greedy_from lies 2*max S heaps below its top, which proves that
+opt stays max S on every larger heap.  It also certifies the eventual
+period from xi, on the 4*max S closed-form outcomes of a pair and on the
+2*max S solved outcomes of any other set, and provides falsification
+sweeps for observed regularities of optimal play (who sacrifices, who
+moves last, how large sacrifices are).  Those sweeps stop their DP pass
+at the same 2*max S heaps.  Each start
 heap past greedy_from + max S has the trace summaries of the one a
 multiple of 2*max S below it, so no scan reads a heap past that cut; only
 the sacrifice scan, which lists every hit, grows with the heaps past it.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import mul
+from operator import add, mul
 
 from . import core
 from .closed_form import _outcomes_from_xi, build_two_action
@@ -45,8 +46,8 @@ CONVERGENCE_HEAP_LIMIT = 100_000_000
 # The least number of heaps a convergence pass keeps, and solves between
 # trims.  A trim costs O(keep), since the deque kernel rebases every kept
 # g value: trims every 4*max S heaps made the kernels of trunc 2 60 about
-# 15% slower, and trims every 4096 heaps about 4%.  4096 heaps take well
-# under 1 MiB.
+# 15% slower.  With this floor no pass of trunc 2 60 trims at all, since
+# the longest solves 3,602 heaps.  4096 heaps take well under 1 MiB.
 CONVERGENCE_KEEP_MIN = 4096
 
 
@@ -104,19 +105,30 @@ class SacrificeFinding(Report):
 def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> ConvergenceReport:
     """Smallest heap from which the optimal action is constant onward.
 
-    The constant action is always max S.  A caller's table of this
-    ruleset is read when it reaches greedy_from + 4*max S - 1 or
-    default_x_max (a table of another ruleset raises ValueError).
-    Otherwise no table is built.  A pair takes xi from the two-action
-    closed form (see closed_form) and the 4*max S outcomes from xi from
-    its descent rule.  Any other set runs one DP pass from heap 0 that
-    keeps only its last max(4*max S, CONVERGENCE_KEEP_MIN) heaps (the
-    kernels' keep), and stops once greedy_from lies 4*max S heaps below
-    its top, or at default_x_max.  The first 2*max S heaps of that run
-    certify opt = max S on every heap from xi = greedy_from on (see
+    The constant action is always m = max S.  A caller's table of this
+    ruleset is read when it reaches greedy_from + 4m - 1 or
+    default_x_max (a table of another ruleset raises ValueError), and
+    the period from xi is certified on its 4m outcomes from xi (see
+    eventual_period).  Otherwise no table is built.  A pair takes xi
+    from the two-action closed form (see closed_form), and the 4m
+    outcomes from xi from its descent rule.  Any other set runs one DP
+    pass from heap 0 that keeps only its last max(3m,
+    CONVERGENCE_KEEP_MIN) heaps (the kernels' keep), and stops once
+    greedy_from lies 2m heaps below its top, or at default_x_max.  That
+    run certifies opt = m on every heap from xi = greedy_from on (see
     build_outcome_table), so the report is the same whatever table the
-    caller passes, and all 4*max S are solved, never filled, and certify
-    the period from xi (see eventual_period).
+    caller passes.
+
+    The pass then checks o(x) + o(x - m) = m on each heap x of the run,
+    x = xi, ..., xi + 2m - 1, which opt = m makes true.  This reads the
+    3m heaps from xi - m, all solved, and all kept, since each trim keeps
+    the keep >= 3m heaps below the next heap to solve; so a wrong outcome
+    at any of them is a theorem violation.  The 2m equations make the
+    window [xi + m, xi + 2m) repeat [xi - m, xi): o(x) = m - o(x - m) =
+    o(x - 2m) there.  Each o(x) with x >= m depends only on the m values
+    below it, so o has period 2m on every heap from xi - m, and its 4m
+    outcomes from xi are the 2m solved ones twice, on which the period is
+    certified as on a table's.
 
     Both paths hold O(max S) heaps, so a max S with 5*max S above
     TABLE_HEAP_LIMIT raises ValueError before anything is allocated: xi is
@@ -129,6 +141,7 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     m = ruleset.max_action
     bound = convergence_bound(ruleset)
     cap = default_x_max(ruleset)
+    o = None
     if table is not None and table.ruleset != ruleset:
         raise ValueError(f"supplied table is for {table.ruleset}, not {ruleset}")
     if table is not None and table.x_max >= min(table.greedy_from + 4 * m - 1, cap):
@@ -142,17 +155,19 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
         tail = _outcomes_from_xi(sol)
     else:
         limit = min(cap, CONVERGENCE_HEAP_LIMIT - 1)
-        o, _, last = core._solve(ruleset, limit, 4 * m, max(4 * m, CONVERGENCE_KEEP_MIN))
-        xi, top = last + 1, min(last + 4 * m, limit)
-        if top < min(last + 4 * m, cap):
+        o, _, last = core._solve(ruleset, limit, 2 * m, max(3 * m, CONVERGENCE_KEEP_MIN))
+        xi, top = last + 1, min(last + 2 * m, limit)
+        if top < min(last + 2 * m, cap):
             raise ValueError(
                 f"the convergence certificate of {ruleset} lies above the supported {CONVERGENCE_HEAP_LIMIT} solved heaps"
             )
-        tail = o[-4 * m:]
+        tail = o[-2 * m:] * 2
     if xi > top + 1 - 2 * m:
         raise TheoremViolationError(f"no convergence certificate by heap {top} for {ruleset}")
     if xi > bound:
         raise TheoremViolationError(f"xi = {xi} lies beyond the convergence bound {bound} for {ruleset}")
+    if o is not None and list(map(add, o[-2 * m:], o[-3 * m:-m])) != [m] * (2 * m):
+        raise TheoremViolationError(f"o(x) + o(x - {m}) != {m} on a heap x from xi = {xi} to {top} for {ruleset}")
     period = _tail_period(tail, m)
     if period is None:
         raise TheoremViolationError(f"no period dividing {2 * m} from the certified xi = {xi} for {ruleset}")
@@ -169,6 +184,9 @@ def _tail_period(tail, m: int) -> int | None:
     """Least p dividing 2*m with tail[p:] == tail[:-p], or None.
 
     tail holds the 4*m outcomes from some heap (see eventual_period).
+    When o is known to have period 2*m from that heap, tail is its first
+    2*m outcomes twice, and p is the least cyclic shift that leaves them
+    unchanged.
     """
     for p in range(1, 2 * m + 1):
         # tail[p] == tail[0] rejects most divisors before any slice is built.

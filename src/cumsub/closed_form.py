@@ -151,14 +151,27 @@ def _outcomes_from_xi(sol: TwoActionSolution) -> list[int]:
     """o(x) for the 4*s1 heaps x = xi, ..., xi + 4*s1 - 1, in one pass over residues.
 
     Each of them lies past every X* member, so it descends by s1 to the
-    last stop of its residue mod s1, with no bisect.  A residue has four
-    heaps in the window, s1 apart, so their descents alternate between an
-    even and an odd number of steps.
+    last stop of its residue mod s1, with no bisect: the largest X*
+    member of that residue, or the residue itself.  The blocks ascend, so
+    one pass over them leaves each residue's last member in place, with
+    no stop lists, and checks that no two members are congruent mod
+    2*s1, as _stops does.  A residue has four heaps in the window, s1
+    apart, so their descents alternate between an even and an odd number
+    of steps.
     """
-    s1, xi = sol.s1, sol.xi
+    s1, xi, period = sol.s1, sol.xi, 2 * sol.s1
+    last = list(range(s1))
+    seen = bytearray(period)
+    for block in sol.x_star:
+        for y in block:
+            if seen[y % period]:
+                raise TheoremViolationError(
+                    f"two X* members are congruent mod {period} for S={{{sol.s2},{s1}}}"
+                )
+            seen[y % period] = 1
+            last[y % s1] = y
     tail = [0] * (4 * s1)
-    for r, stops in enumerate(sol._stops):
-        y = stops[-1]
+    for r, y in enumerate(last):
         i = (r - xi) % s1  # heap xi + i is the first of residue r in the window
         v = _stop_outcome(sol, y)
         if (xi + i - y) // s1 % 2:

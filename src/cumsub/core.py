@@ -194,11 +194,9 @@ def _table_generic(ruleset: Ruleset, limit: int, run: int, keep: int | None = No
     last is the last heap whose opt is not max S, terminal heaps included,
     so the stop is last + run.  Every other solved heap has opt max S, so
     the sparse opts record only the non-greedy heaps that are not
-    terminal, as (index in o, opt) pairs in heap order.  A run of
-    2*max S certifies the tail (see build_outcome_table), and the trace
-    summaries stop there.  build_outcome_table and convergence_point pass
-    4*max S, so that the 4*max S heaps from xi whose period they certify
-    are all solved, never filled.
+    terminal, as (index in o, opt) pairs in heap order.  Every caller
+    passes a run of 2*max S, which certifies the tail (see
+    build_outcome_table).
 
     With keep = None, o starts at heap 0, so an index in o is its heap.
     With keep set, at least max S, the kernel solves chunks of keep
@@ -341,7 +339,7 @@ def build_outcome_table(ruleset: Ruleset, x_max: int) -> OutcomeTable:
     maximizing action, so traces driven by opt are deterministic.
 
     The DP solves heaps from 0 in one pass and stops at the first heap n
-    that ends a run of 4*max S heaps with opt = m = max S (or at x_max),
+    that ends a run of 2*max S heaps with opt = m = max S (or at x_max),
     and heaps above n are filled by period 2m: o(x) = o(x-2m) and
     opt(x) = m.  That is exact.  opt = m on 2m consecutive heaps, all at
     or above m since m is not playable below it, gives
@@ -350,7 +348,7 @@ def build_outcome_table(ruleset: Ruleset, x_max: int) -> OutcomeTable:
     above n repeats the one 2m heaps lower, and with it every later value.
     """
     _check_x_max(x_max)
-    return _solved_table(ruleset, x_max, x_max, 4 * ruleset.max_action)
+    return _solved_table(ruleset, x_max, x_max, 2 * ruleset.max_action)
 
 
 def _solved_table(ruleset: Ruleset, limit: int, x_max: int, run: int) -> OutcomeTable:

@@ -63,6 +63,18 @@ def _record_kernel_calls(monkeypatch):
     return lengths
 
 
+def _forge_solved_heap(monkeypatch, index):
+    """Make every DP pass add 1 to o[index] of the heaps it returns; index
+    counts back from the pass's top heap."""
+    real_solve = core._solve
+
+    def forged_solve(ruleset, limit, run, keep=None):
+        o, sparse, last = real_solve(ruleset, limit, run, keep)
+        o[index] += 1
+        return o, sparse, last
+    monkeypatch.setattr(core, "_solve", forged_solve)
+
+
 class TestConvergencePoint:
     def test_xi_5_7(self):
         report = convergence_point(Ruleset((5, 7)))
@@ -97,7 +109,7 @@ class TestConvergencePoint:
 
     def test_refuses_a_certificate_past_the_heap_cap(self, monkeypatch):
         # {1,29,30} certifies xi = 1623, so its pass solves heaps up to
-        # xi + 4*30 - 1 = 1742: past a 1000-heap work bound, so it is
+        # xi + 2*30 - 1 = 1682: past a 1000-heap work bound, so it is
         # refused; {1..30} certifies under the bound although its
         # default_x_max, 1920, lies above it.
         monkeypatch.setattr(analysis, "CONVERGENCE_HEAP_LIMIT", 1000)
@@ -108,16 +120,16 @@ class TestConvergencePoint:
         assert convergence_point(full).xi == 30
 
     def test_work_bound_counts_the_solved_heaps(self, monkeypatch):
-        # {1,29,30}'s pass solves the 1743 heaps 0..1742: a bound of that
+        # {1,29,30}'s pass solves the 1683 heaps 0..1682: a bound of that
         # many heaps certifies it, and one heap fewer refuses it.
         rs = Ruleset((1, 29, 30))
         lengths = _record_kernel_calls(monkeypatch)
-        monkeypatch.setattr(analysis, "CONVERGENCE_HEAP_LIMIT", 1743)
+        monkeypatch.setattr(analysis, "CONVERGENCE_HEAP_LIMIT", 1683)
         assert convergence_point(rs).xi == 1623
-        monkeypatch.setattr(analysis, "CONVERGENCE_HEAP_LIMIT", 1742)
-        with pytest.raises(ValueError, match="above the supported 1742 solved heaps"):
+        monkeypatch.setattr(analysis, "CONVERGENCE_HEAP_LIMIT", 1682)
+        with pytest.raises(ValueError, match="above the supported 1682 solved heaps"):
             convergence_point(rs)
-        assert lengths == [1743, 1742]
+        assert lengths == [1683, 1682]
 
     def test_refuses_a_large_max_s_before_solving(self, monkeypatch):
         # xi >= max S, so {1,201}'s run ends at heap 5*201 - 1 = 1004 or
@@ -215,9 +227,10 @@ class TestConvergencePoint:
             assert convergence_point(rs, long) == convergence_point(rs), rs
 
     def test_one_pass_to_the_certificate(self, monkeypatch):
-        # One kernel call solves heaps 0..xi + 4*max S - 1 and stops; a
-        # caller's table that holds those heaps is read with no call, and
-        # one a heap short of them is solved again.
+        # One kernel call solves heaps 0..xi + 2*max S - 1, the run that
+        # certifies xi, and stops; a caller's table that holds the
+        # 4*max S heaps from xi is read with no call, and one a heap short
+        # of them is solved again.
         rs = Ruleset((1, 99, 100))
         xi = 19403
         window = build_outcome_table(rs, xi + 4 * 100 - 1)
@@ -225,16 +238,15 @@ class TestConvergencePoint:
         lengths = _record_kernel_calls(monkeypatch)
         report = convergence_point(rs)
         assert report.xi == xi
-        assert lengths == [xi + 4 * 100]
+        assert lengths == [xi + 2 * 100]
         assert convergence_point(rs, window) == report
-        assert lengths == [xi + 4 * 100]
+        assert lengths == [xi + 2 * 100]
         assert convergence_point(rs, short) == report
-        assert lengths == [xi + 4 * 100] * 2
-        # build_outcome_table stops its pass at the same run, so the heaps
-        # from xi that eventual_period reads in a caller's table are solved,
-        # not filled by period.
+        assert lengths == [xi + 2 * 100] * 2
+        # build_outcome_table stops its pass at the same run, and fills
+        # every heap above it by period 2*max S.
         build_outcome_table(rs, xi + 4 * 100 + 50)
-        assert lengths == [xi + 4 * 100] * 3
+        assert lengths == [xi + 2 * 100] * 3
 
     def test_pairs_solve_no_heap(self, monkeypatch):
         # A pair is answered by the two-action closed form, with no DP
@@ -252,14 +264,25 @@ class TestConvergencePoint:
             table = build_outcome_table(rs, default_x_max(rs))
             assert convergence_point(rs) == convergence_point(rs, table), rs
 
+    def test_dp_pass_matches_the_caller_table_exhaustively(self):
+        # The DP pass's 2*max S run and recurrence check against the 4*max S
+        # tail read from a caller's table, on every ruleset of three or more
+        # actions with max S <= 11.
+        for rs in rulesets_with_max_at_most(11, range(3, 12)):
+            table = build_outcome_table(rs, default_x_max(rs))
+            assert convergence_point(rs) == convergence_point(rs, table), rs
+
     @pytest.mark.parametrize("actions", [(5, 7), (3, 7, 8), (2, 3, 4, 5, 6, 7)])
     @pytest.mark.parametrize("path", ["table", "solved"])
     @pytest.mark.parametrize("heap", ["xi", "xi + 4m - 1"])
     def test_every_tail_heap_is_read(self, monkeypatch, actions, path, heap):
-        # The period is checked on all 4*max S heaps from xi: a wrong
+        # The period is checked on the 4*max S outcomes from xi: a wrong
         # outcome in the first or the last of them is no period dividing
-        # 2*max S, whether it comes from a caller's table, the DP pass
-        # (generic and deque kernels) or the closed form for a pair.
+        # 2*max S, whether it comes from a caller's table or the closed
+        # form for a pair.  The DP pass (generic and deque kernels) solves
+        # only the 2*max S heaps from xi and checks the tail on them
+        # doubled, so the tail's last cell is heap xi + 2*max S - 1 there,
+        # and a wrong outcome at it or at xi breaks the recurrence check.
         rs = Ruleset(actions)
         m = rs.max_action
         xi = convergence_point(rs).xi
@@ -280,41 +303,54 @@ class TestConvergencePoint:
                 tail[cell] += 1
                 return tail
             monkeypatch.setattr(analysis, "_outcomes_from_xi", forged_tail)
+            match = f"no period dividing {2 * m}"
         else:
-            real_solve = core._solve
+            _forge_solved_heap(monkeypatch, cell % (2 * m) - 2 * m)
+            match = rf"o\(x\) \+ o\(x - {m}\) != {m}"
+        with pytest.raises(TheoremViolationError, match=match):
+            convergence_point(rs)
 
-            def forged_solve(ruleset, limit, run, keep=None):
-                o, sparse, last = real_solve(ruleset, limit, run, keep)
-                o[cell - 4 * m] += 1
-                return o, sparse, last
-            monkeypatch.setattr(core, "_solve", forged_solve)
-        with pytest.raises(TheoremViolationError, match=f"no period dividing {2 * m}"):
+    @pytest.mark.parametrize("actions", [(3, 7, 8), (2, 3, 4, 5, 6, 7)])
+    def test_heap_max_s_below_xi_is_read(self, monkeypatch, actions):
+        # The recurrence check pairs each of the 2*max S heaps from xi with
+        # the heap max S below it, so it reads heap xi - max S too: a wrong
+        # outcome there is a theorem violation on both kernels.
+        rs = Ruleset(actions)
+        m = rs.max_action
+        _forge_solved_heap(monkeypatch, -3 * m)
+        with pytest.raises(TheoremViolationError, match=rf"o\(x\) \+ o\(x - {m}\) != {m}"):
             convergence_point(rs)
 
     @pytest.mark.parametrize(
         "actions, offset",
         [
-            # xi is the first heap after a trim, so the 4*max S heaps from
-            # it are one whole chunk, and the pass stops on its last heap.
-            ((2, 5, 7), 0),
+            # xi is the first heap after a trim: the trim keeps the max S
+            # heaps below it, and the 2*max S heaps from it lie in one chunk.
+            ((2, 7, 9), 0),
+            # The trim falls on xi - max S, so the 3*max S heaps the
+            # recurrence check reads are one whole chunk, and the pass
+            # stops on its last heap.
+            ((2, 5, 7), 7),
             # xi is the last heap before a trim: the trim keeps it and the
-            # 4*max S - 1 heaps below it, and the tail runs past it.
-            ((3, 5, 6), 4 * 6 - 1),
-            # Fourteen trims, the tail straddling the last of them.
-            ((1, 29, 30), 62),
-            # The deque kernel, whose trims also rebase g and the window.
-            (tuple(range(22, 27)), 84),
+            # 3*max S - 1 heaps below it, and the block from xi runs past it.
+            ((3, 5, 10, 13), 3 * 13 - 1),
+            # Eighteen trims, the last two heaps below xi, so the max S
+            # heaps below xi straddle it; a keep of 2*max S loses them.
+            ((1, 29, 30), 2),
+            # The deque kernel, whose trims also rebase g and the window;
+            # the 2*max S heaps from xi straddle a trim.
+            (tuple(range(22, 27)), 58),
         ],
     )
     def test_streaming_pass_at_a_trim(self, monkeypatch, actions, offset):
         # With no floor on what it keeps, the pass trims its lists to the
-        # last 4*max S heaps at every 4*max S heaps from min S; the report
+        # last 3*max S heaps at every 3*max S heaps from min S; the report
         # is the one a caller's untrimmed table gives.
         monkeypatch.setattr(analysis, "CONVERGENCE_KEEP_MIN", 0)
         rs = Ruleset(actions)
         m = rs.max_action
         report = convergence_point(rs)
-        assert (report.xi - rs.min_action) % (4 * m) == offset
+        assert (report.xi - rs.min_action) % (3 * m) == offset
         assert report == convergence_point(rs, build_outcome_table(rs, default_x_max(rs)))
 
 

@@ -225,6 +225,13 @@ class TestOutcomesFromXi:
             table = build_outcome_table(rs, sol.xi + 4 * s1 - 1)
             assert _outcomes_from_xi(sol) == list(table.outcomes[sol.xi:]), rs
 
+    def test_congruent_x_star_members_are_a_theorem_violation(self):
+        # The one pass over the blocks checks what two_action_outcome's stop
+        # lists check: 5 and 19 share residue 5 mod 14.
+        sol = TwoActionSolution(s2=5, s1=7, alpha=2, i_max=3, xi=31, x_star=((5, 6), (19, 20)))
+        with pytest.raises(TheoremViolationError, match="congruent mod 14"):
+            _outcomes_from_xi(sol)
+
 
 class TestTwoActionOpt:
     def test_values_5_7(self):

@@ -396,7 +396,8 @@ class TestMinimaxOracle:
 
     def test_matches_table_on_the_extremal_pair(self):
         # {999,1000} has the largest xi for its max S, 2*999^2 = 1996002.
-        # The whole table to xi + 4*max S - 1, all of it solved by the DP.
+        # The whole table to xi + 4*max S - 1: solved by the DP up to
+        # xi + 2*max S - 1, its certificate run, and filled by period above.
         rs = Ruleset((999, 1000))
         x_max = 1996002 + 3999
         assert build_outcome_table(rs, x_max).outcomes == minimax_values(rs, x_max)

@@ -374,9 +374,10 @@ def test_resumed_table_equals_fresh_table(rs, n, data):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.one_of(wide_rulesets, contiguous_rulesets), st.data())
 def test_certified_tail_matches_independent_references(rs, data):
-    # Past the run of 4*max S heaps with opt = max S that stops the DP, the
-    # table is filled by period; tables ending below, inside and after that
-    # run must still equal the references on every heap they hold.
+    # Past the run of 2*max S heaps with opt = max S that stops the DP, the
+    # table is filled by period; tables ending below xi, within 4*max S
+    # heaps of it and past those must still equal the references on every
+    # heap they hold.
     m = rs.max_action
     x_max = 3 * default_x_max(rs)
     outcomes = minimax_values(rs, x_max)
