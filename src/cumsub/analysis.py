@@ -7,12 +7,12 @@ sequence is periodic with period dividing 2*max S.  This module locates
 the convergence point without a table: a pair by the two-action closed
 form, any other set by one DP pass that keeps O(max S) heaps and stops
 once its greedy_from lies 2*max S heaps below its top, which proves that
-opt stays max S on every larger heap.  It also certifies the eventual
-period from xi, on the 4*max S closed-form outcomes of a pair and on the
-2*max S solved outcomes of any other set, and provides falsification
-sweeps for observed regularities of optimal play (who sacrifices, who
-moves last, how large sacrifices are).  Those sweeps stop their DP pass
-at the same 2*max S heaps.  Each start
+opt stays max S on every larger heap.  Every source, a caller's table
+included, gives the 3*max S outcomes from xi - max S, and one check
+certifies them and the eventual period from xi.  The module also
+provides falsification sweeps for observed regularities of optimal play
+(who sacrifices, who moves last, how large sacrifices are).  Those
+sweeps stop their DP pass at the same 2*max S heaps.  Each start
 heap past greedy_from + max S has the trace summaries of the one a
 multiple of 2*max S below it, so no scan reads a heap past that cut; only
 the sacrifice scan, which lists every hit, grows with the heaps past it.
@@ -105,94 +105,73 @@ class SacrificeFinding(Report):
 def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> ConvergenceReport:
     """Smallest heap from which the optimal action is constant onward.
 
-    The constant action is always m = max S.  A caller's table of this
-    ruleset is read when it reaches greedy_from + 4m - 1 or
-    default_x_max (a table of another ruleset raises ValueError), and
-    the period from xi is certified on its 4m outcomes from xi (see
-    eventual_period).  Otherwise no table is built.  A pair takes xi
-    from the two-action closed form (see closed_form), and the 4m
-    outcomes from xi from its descent rule.  Any other set runs one DP
-    pass from heap 0 that keeps only its last max(3m,
-    CONVERGENCE_KEEP_MIN) heaps (the kernels' keep), and stops once
-    greedy_from lies 2m heaps below its top, or at default_x_max.  That
-    run certifies opt = m on every heap from xi = greedy_from on (see
-    build_outcome_table), so the report is the same whatever table the
-    caller passes.
+    The constant action is always m = max S.  Every source gives xi and
+    the window of 3m outcomes from xi - m, and one check certifies it.  A
+    caller's table of this ruleset is read once it reaches greedy_from +
+    2m - 1 or default_x_max (a table of another ruleset raises
+    ValueError); from build_outcome_table, all of its window is solved
+    heaps.  Otherwise no table is built.  A pair takes xi and the window
+    from the two-action closed form (see closed_form).  Any other set runs
+    one DP pass from heap 0 that keeps only its last max(3m,
+    CONVERGENCE_KEEP_MIN) heaps, and stops once greedy_from lies 2m heaps
+    below its top, or at default_x_max; its window is its last 3m heaps,
+    which no trim drops.  That run certifies opt = m on every heap from
+    xi = greedy_from on (see build_outcome_table), so the report is the
+    same whatever table the caller passes.
 
-    The pass then checks o(x) + o(x - m) = m on each heap x of the run,
-    x = xi, ..., xi + 2m - 1, which opt = m makes true.  This reads the
-    3m heaps from xi - m, all solved, and all kept, since each trim keeps
-    the keep >= 3m heaps below the next heap to solve; so a wrong outcome
-    at any of them is a theorem violation.  The 2m equations make the
-    window [xi + m, xi + 2m) repeat [xi - m, xi): o(x) = m - o(x - m) =
-    o(x - 2m) there.  Each o(x) with x >= m depends only on the m values
-    below it, so o has period 2m on every heap from xi - m, and its 4m
-    outcomes from xi are the 2m solved ones twice, on which the period is
-    certified as on a table's.
+    The check asks for o(x) + o(x - m) = m, which opt = m makes true, on
+    each heap x = xi, ..., xi + 2m - 1, so a wrong outcome anywhere in the
+    window is a theorem violation.  These 2m equations make [xi + m,
+    xi + 2m) repeat [xi - m, xi): o(x) = m - o(x - m) = o(x - 2m) there.
+    Each o(x) with x >= m depends only on the m values below it, so o has
+    period 2m from xi - m on, and its least period from xi is that of the
+    2m outcomes from xi repeated (see core._least_period).
 
-    Both paths hold O(max S) heaps, so a max S with 5*max S above
-    TABLE_HEAP_LIMIT raises ValueError before anything is allocated: xi is
-    at least max S, so no certificate ends before heap 5*max S - 1.  A DP
-    pass with no certificate within CONVERGENCE_HEAP_LIMIT solved heaps
-    raises ValueError once it has solved them.  xi beyond the proven bound
-    2*(max S)^2, no certificate by default_x_max, or no period from xi is
-    a theorem violation.
+    Both no-table paths hold O(max S) heaps, so a max S with 5*max S
+    above TABLE_HEAP_LIMIT raises ValueError before anything is
+    allocated; the window needs only 3*max S, but the cap and its message
+    stay, so no exit code changes.  A DP pass with no certificate within
+    CONVERGENCE_HEAP_LIMIT solved heaps raises ValueError once it has
+    solved them.  xi beyond the proven bound 2*(max S)^2, no certificate
+    by default_x_max, or a window off the recurrence is a theorem
+    violation.
     """
     m = ruleset.max_action
     bound = convergence_bound(ruleset)
     cap = default_x_max(ruleset)
-    o = None
     if table is not None and table.ruleset != ruleset:
         raise ValueError(f"supplied table is for {table.ruleset}, not {ruleset}")
-    if table is not None and table.x_max >= min(table.greedy_from + 4 * m - 1, cap):
+    if table is not None and table.x_max >= min(table.greedy_from + 2 * m - 1, cap):
         xi, top = table.greedy_from, table.x_max
-        tail = table.outcomes[xi:xi + 4 * m]
+        window = table.outcomes[xi - m:xi + 2 * m]
     elif 5 * m > core.TABLE_HEAP_LIMIT:
         raise ValueError(f"max S = {m} needs windows of 5*max S heaps, above the supported {core.TABLE_HEAP_LIMIT}")
     elif ruleset.is_two_action:
         sol = build_two_action(ruleset.min_action, m)
-        xi, top = sol.xi, sol.xi + 4 * m - 1
-        tail = _outcomes_from_xi(sol)
+        xi, top = sol.xi, sol.xi + 2 * m - 1
+        window = _outcomes_from_xi(sol)
     else:
         limit = min(cap, CONVERGENCE_HEAP_LIMIT - 1)
-        o, _, last = core._solve(ruleset, limit, 2 * m, max(3 * m, CONVERGENCE_KEEP_MIN))
+        o, _, last = core._solve(ruleset, limit, max(3 * m, CONVERGENCE_KEEP_MIN))
         xi, top = last + 1, min(last + 2 * m, limit)
         if top < min(last + 2 * m, cap):
             raise ValueError(
                 f"the convergence certificate of {ruleset} lies above the supported {CONVERGENCE_HEAP_LIMIT} solved heaps"
             )
-        tail = o[-2 * m:] * 2
+        window = o[-3 * m:]
     if xi > top + 1 - 2 * m:
         raise TheoremViolationError(f"no convergence certificate by heap {top} for {ruleset}")
     if xi > bound:
         raise TheoremViolationError(f"xi = {xi} lies beyond the convergence bound {bound} for {ruleset}")
-    if o is not None and list(map(add, o[-2 * m:], o[-3 * m:-m])) != [m] * (2 * m):
-        raise TheoremViolationError(f"o(x) + o(x - {m}) != {m} on a heap x from xi = {xi} to {top} for {ruleset}")
-    period = _tail_period(tail, m)
-    if period is None:
-        raise TheoremViolationError(f"no period dividing {2 * m} from the certified xi = {xi} for {ruleset}")
+    if set(map(add, window[m:], window[:2 * m])) != {m}:
+        raise TheoremViolationError(f"o(x) + o(x - {m}) != {m} on a heap x from xi = {xi} to {xi + 2 * m - 1} for {ruleset}")
     return ConvergenceReport(
         ruleset=ruleset,
         xi=xi,
         converged_action=m,
         bound_satisfied=xi <= bound,
-        period=PeriodReport(period=period, tail_start=xi),
+        period=PeriodReport(period=core._least_period(window[m:]), tail_start=xi),
     )
-
-
-def _tail_period(tail, m: int) -> int | None:
-    """Least p dividing 2*m with tail[p:] == tail[:-p], or None.
-
-    tail holds the 4*m outcomes from some heap (see eventual_period).
-    When o is known to have period 2*m from that heap, tail is its first
-    2*m outcomes twice, and p is the least cyclic shift that leaves them
-    unchanged.
-    """
-    for p in range(1, 2 * m + 1):
-        # tail[p] == tail[0] rejects most divisors before any slice is built.
-        if (2 * m) % p == 0 and tail[p] == tail[0] and tail[p:] == tail[:-p]:
-            return p
-    return None
 
 
 def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
@@ -201,14 +180,14 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
     The table must hold the 4*max S heaps from tail_start, so its x_max
     must reach tail_start + 4*max S - 1.  Eventually o has period
     2*max S, so by the Fine-Wilf lemma (1965) its least period divides
-    2*max S, and only those divisors are tried, on the 4*max S heaps from
-    tail_start.  Each o(x) with x >= max S depends only on the max S values
-    below it, so 3*max S heaps repeating at lag p repeat those windows, and
-    with them every later value: the period holds on every heap from
-    tail_start on, not just inside the window.  A tail not yet periodic
-    raises ValueError; the tail from convergence_point's xi is always
-    periodic.  convergence_point runs the same divisor search on the tail
-    it reads, with no table.
+    2*max S.  The 4*max S heaps from tail_start must repeat at lag
+    2*max S.  Each o(x) with x >= max S depends only on the max S values
+    below it, so 3*max S heaps repeating at that lag repeat those windows,
+    and with them every later value: the period 2*max S holds on every
+    heap from tail_start on, not just inside the window, and the least
+    period is the least cyclic shift that leaves the first 2*max S
+    unchanged (see core._least_period).  A tail not yet periodic raises
+    ValueError; the tail from convergence_point's xi is always periodic.
     """
     m = table.ruleset.max_action
     if tail_start < 0 or tail_start > table.x_max:
@@ -218,12 +197,12 @@ def eventual_period(table: OutcomeTable, tail_start: int) -> PeriodReport:
             f"window too small: need tail_start + {4 * m - 1} <= x_max, "
             f"got tail_start={tail_start}, x_max={table.x_max}"
         )
-    period = _tail_period(table.outcomes[tail_start:tail_start + 4 * m], m)
-    if period is None:
+    tail = table.outcomes[tail_start:tail_start + 4 * m]
+    if tail[2 * m:] != tail[:2 * m]:
         raise ValueError(
             f"no period dividing {2 * m} on tail [{tail_start}, {table.x_max}] for {table.ruleset}"
         )
-    return PeriodReport(period=period, tail_start=tail_start)
+    return PeriodReport(period=core._least_period(tail[:2 * m]), tail_start=tail_start)
 
 
 def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[int, list[int], list[int], list[bool]]:
@@ -255,7 +234,7 @@ def _trace_summaries(ruleset: Ruleset, x_cap: int) -> tuple[int, list[int], list
     if x_cap < 0:
         raise ValueError(f"x_cap must be nonnegative, got {x_cap}")
     m = ruleset.max_action
-    table = _solved_table(ruleset, min(x_cap, core.TABLE_HEAP_LIMIT - 1), 0, 2 * m)
+    table = _solved_table(ruleset, min(x_cap, core.TABLE_HEAP_LIMIT - 1), 0)
     if x_cap > table.x_max and table.greedy_from > table.x_max + 1 - 2 * m:
         raise ValueError(f"the trace certificate of {ruleset} lies above the supported {core.TABLE_HEAP_LIMIT} heaps")
     opts = table.opts

@@ -23,7 +23,8 @@ exactly [s2, s1), where only s2 is playable: there, as at terminal heaps,
 o(y) is the s2 parity race, s2 if y // s2 is odd and 0 otherwise.
 
 convergence_point answers every pair from here, with build_two_action's xi
-and the 4*s1 outcomes from xi that _outcomes_from_xi gives.
+and the 3*s1 outcomes from xi - s1 that _outcomes_from_xi gives, which it
+checks as it checks a DP pass's.
 """
 
 from __future__ import annotations
@@ -148,18 +149,20 @@ def two_action_outcome(sol: TwoActionSolution, x: int) -> int:
 
 
 def _outcomes_from_xi(sol: TwoActionSolution) -> list[int]:
-    """o(x) for the 4*s1 heaps x = xi, ..., xi + 4*s1 - 1, in one pass over residues.
+    """o(x) for the 3*s1 heaps x = xi - s1, ..., xi + 2*s1 - 1, in one pass over residues.
 
-    Each of them lies past every X* member, so it descends by s1 to the
-    last stop of its residue mod s1, with no bisect: the largest X*
-    member of that residue, or the residue itself.  The blocks ascend, so
-    one pass over them leaves each residue's last member in place, with
-    no stop lists, and checks that no two members are congruent mod
-    2*s1, as _stops does.  A residue has four heaps in the window, s1
-    apart, so their descents alternate between an even and an odd number
-    of steps.
+    Each of them descends by s1 to the last stop of its residue mod s1,
+    with no bisect: the largest X* member of that residue, or the residue
+    itself.  Past xi that holds since every X* member lies below xi.
+    Below xi, no member y of a heap x's residue lies above x, since
+    y >= x + s1 >= xi would follow.  The blocks ascend, so one pass over
+    them leaves each residue's last member in place, with no stop lists,
+    and checks that no two members are congruent mod 2*s1, as _stops
+    does.  A residue has three heaps in the window, s1 apart, so their
+    descents alternate between an even and an odd number of steps.
     """
-    s1, xi, period = sol.s1, sol.xi, 2 * sol.s1
+    s1, period = sol.s1, 2 * sol.s1
+    lo = sol.xi - s1
     last = list(range(s1))
     seen = bytearray(period)
     for block in sol.x_star:
@@ -170,15 +173,15 @@ def _outcomes_from_xi(sol: TwoActionSolution) -> list[int]:
                 )
             seen[y % period] = 1
             last[y % s1] = y
-    tail = [0] * (4 * s1)
+    window = [0] * (3 * s1)
     for r, y in enumerate(last):
-        i = (r - xi) % s1  # heap xi + i is the first of residue r in the window
+        i = (r - lo) % s1  # heap lo + i is the first of residue r in the window
         v = _stop_outcome(sol, y)
-        if (xi + i - y) // s1 % 2:
+        if (lo + i - y) // s1 % 2:
             v = s1 - v
-        tail[i] = tail[i + 2 * s1] = v
-        tail[i + s1] = tail[i + 3 * s1] = s1 - v
-    return tail
+        window[i] = window[i + 2 * s1] = v
+        window[i + s1] = s1 - v
+    return window
 
 
 def complementary_next(sol: TwoActionSolution, negatives_last: int | None = None) -> int:

@@ -186,17 +186,16 @@ def _check_x_max(x_max: int) -> None:
         )
 
 
-def _table_generic(ruleset: Ruleset, limit: int, run: int, keep: int | None = None) -> tuple[list[int], list[tuple[int, int]], int]:
-    """Solve heaps 0..limit in order; stop once `run` heaps in a row have opt max S.
+def _table_generic(ruleset: Ruleset, limit: int, keep: int | None = None) -> tuple[list[int], list[tuple[int, int]], int]:
+    """Solve heaps 0..limit in order; stop once 2*max S heaps in a row have opt max S.
 
     Returns o, the sparse opts and last.  o holds the outcomes up to that
-    stop or to limit, the top heap solved, which is min(last + run, limit).
-    last is the last heap whose opt is not max S, terminal heaps included,
-    so the stop is last + run.  Every other solved heap has opt max S, so
-    the sparse opts record only the non-greedy heaps that are not
-    terminal, as (index in o, opt) pairs in heap order.  Every caller
-    passes a run of 2*max S, which certifies the tail (see
-    build_outcome_table).
+    stop or to limit, the top heap solved, which is min(last + 2*max S,
+    limit).  last is the last heap whose opt is not max S, terminal heaps
+    included, so the stop is last + 2*max S, the run that certifies the
+    tail (see build_outcome_table).  Every other solved heap has opt
+    max S, so the sparse opts record only the non-greedy heaps that are
+    not terminal, as (index in o, opt) pairs in heap order.
 
     With keep = None, o starts at heap 0, so an index in o is its heap.
     With keep set, at least max S, the kernel solves chunks of keep
@@ -212,6 +211,7 @@ def _table_generic(ruleset: Ruleset, limit: int, run: int, keep: int | None = No
     """
     acts = ruleset.actions
     m = ruleset.max_action
+    run = 2 * m
     desc = acts[-2::-1]  # the actions below max S, largest first
     first = min(ruleset.min_action, limit + 1)
     o: list[int] = [0] * first
@@ -250,7 +250,7 @@ def _table_generic(ruleset: Ruleset, limit: int, run: int, keep: int | None = No
         start = end - drop
 
 
-def _table_contiguous(ruleset: Ruleset, limit: int, run: int, keep: int | None = None) -> tuple[list[int], list[tuple[int, int]], int]:
+def _table_contiguous(ruleset: Ruleset, limit: int, keep: int | None = None) -> tuple[list[int], list[tuple[int, int]], int]:
     """Sliding-window variant for contiguous action sets {lo, ..., hi}.
 
     _solved_table sends it the contiguous sets of at least
@@ -262,13 +262,14 @@ def _table_contiguous(ruleset: Ruleset, limit: int, run: int, keep: int | None =
     the window x-hi <= y <= x-lo, so a monotone deque gives each entry in
     amortized O(1).  The deque keeps the smallest y among equal g values
     in front, which reproduces the largest-action tie-break exactly.
-    g(y) = y on terminal heaps, where o = 0.  Stops after `run` greedy
+    g(y) = y on terminal heaps, where o = 0.  Stops after 2*max S greedy
     heaps, and takes keep and returns as _table_generic does.  g and the
     deque hold indices counted from the trimmed base, so a trim of d heaps
     lowers every g value and every deque entry by d: o(x) = x - g(y) is
     unchanged, and so is the order of g in the deque.
     """
     lo, hi = ruleset.min_action, ruleset.max_action
+    run = 2 * hi
     first = min(lo, limit + 1)
     o: list[int] = [0] * first
     sparse: list[tuple[int, int]] = []
@@ -308,7 +309,7 @@ def _table_contiguous(ruleset: Ruleset, limit: int, run: int, keep: int | None =
         start = end - drop
 
 
-def _solve(ruleset: Ruleset, limit: int, run: int, keep: int | None = None) -> tuple[list[int], list[tuple[int, int]], int]:
+def _solve(ruleset: Ruleset, limit: int, keep: int | None = None) -> tuple[list[int], list[tuple[int, int]], int]:
     """One DP pass by the kernel this ruleset is fastest on; both return the same.
 
     A contiguous set of at least DEQUE_MIN_ACTIONS actions goes to the
@@ -316,7 +317,7 @@ def _solve(ruleset: Ruleset, limit: int, run: int, keep: int | None = None) -> t
     """
     deque_kernel = ruleset.is_contiguous and len(ruleset.actions) >= DEQUE_MIN_ACTIONS
     kernel = _table_contiguous if deque_kernel else _table_generic
-    return kernel(ruleset, limit, run, keep)
+    return kernel(ruleset, limit, keep)
 
 
 def _fill_period(seq: list, start: int, lag: int) -> None:
@@ -324,6 +325,16 @@ def _fill_period(seq: list, start: int, lag: int) -> None:
     n = len(seq) - start
     if n > 0:
         seq[start:] = (seq[start - lag:start] * (n // lag + 1))[:n]
+
+
+def _least_period(block) -> int:
+    """Least p dividing len(block) with block[p:] == block[:-p]: the least
+    period of block repeated forever, since p then splits it into equal parts."""
+    n = len(block)
+    # block[p % n] == block[0] rejects most divisors before any slice is built.
+    return next(
+        p for p in range(1, n + 1) if n % p == 0 and block[p % n] == block[0] and block[p:] == block[:n - p]
+    )
 
 
 def _period_cell(x: int, start: int, lag: int) -> int:
@@ -348,20 +359,20 @@ def build_outcome_table(ruleset: Ruleset, x_max: int) -> OutcomeTable:
     above n repeats the one 2m heaps lower, and with it every later value.
     """
     _check_x_max(x_max)
-    return _solved_table(ruleset, x_max, x_max, 2 * ruleset.max_action)
+    return _solved_table(ruleset, x_max, x_max)
 
 
-def _solved_table(ruleset: Ruleset, limit: int, x_max: int, run: int) -> OutcomeTable:
-    """One kernel pass over heaps 0..limit, stopped by a greedy run of `run`
-    heaps, then a fill by period up to x_max.
+def _solved_table(ruleset: Ruleset, limit: int, x_max: int) -> OutcomeTable:
+    """One kernel pass over heaps 0..limit, stopped by a greedy run of
+    2*max S heaps, then a fill by period up to x_max.
 
     The table ends at x_max or at the kernel's stop, whichever is larger,
-    so x_max = 0 gives the solved heaps alone.  A run of at least 2*max S
-    keeps the fill exact (see build_outcome_table).  The kernel's sparse
-    opts expand into the table's: None below min S, max S elsewhere, and
-    each recorded pair patched in.
+    so x_max = 0 gives the solved heaps alone.  The run keeps the fill
+    exact (see build_outcome_table).  The kernel's sparse opts expand into
+    the table's: None below min S, max S elsewhere, and each recorded pair
+    patched in.
     """
-    o, sparse, last = _solve(ruleset, limit, run)
+    o, sparse, last = _solve(ruleset, limit)
     n, m = len(o), ruleset.max_action
     o += [0] * (x_max + 1 - n)
     _fill_period(o, n, 2 * m)

@@ -48,7 +48,7 @@ from math import isqrt
 from operator import itemgetter
 
 from .analysis import conjecture_report
-from .core import TABLE_HEAP_LIMIT, Report, Ruleset, _fill_period, _period_cell
+from .core import TABLE_HEAP_LIMIT, Report, Ruleset, _fill_period, _least_period, _period_cell
 
 _CSV_ENCODING = "ascii"
 
@@ -460,8 +460,7 @@ def _least_period_and_start(line: Sequence[int], end: int, lag: int) -> tuple[in
     start is found by walking back from end - lag while the cell below
     still repeats.
     """
-    window = line[end - lag:end]
-    period = next(p for p in range(1, lag + 1) if lag % p == 0 and window[p:] == window[:lag - p])
+    period = _least_period(line[end - lag:end])
     t = end - lag
     while t and line[t - 1] == line[t - 1 + period]:
         t -= 1

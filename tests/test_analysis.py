@@ -48,13 +48,13 @@ def naive_minimal_period(values, tail_start, p_cap):
 
 def _record_kernel_calls(monkeypatch):
     """Wrap both DP kernels; the list returned collects the heaps each call
-    solved, 0..min(last + run, limit), whether it kept them all or not."""
+    solved, 0..min(last + 2*max S, limit), whether it kept them all or not."""
     lengths = []
 
     def recording(kernel):
-        def call(ruleset, limit, run, keep=None):
-            o, sparse, last = kernel(ruleset, limit, run, keep)
-            lengths.append(min(last + run, limit) + 1)
+        def call(ruleset, limit, keep=None):
+            o, sparse, last = kernel(ruleset, limit, keep)
+            lengths.append(min(last + 2 * ruleset.max_action, limit) + 1)
             return o, sparse, last
         return call
 
@@ -68,8 +68,8 @@ def _forge_solved_heap(monkeypatch, index):
     counts back from the pass's top heap."""
     real_solve = core._solve
 
-    def forged_solve(ruleset, limit, run, keep=None):
-        o, sparse, last = real_solve(ruleset, limit, run, keep)
+    def forged_solve(ruleset, limit, keep=None):
+        o, sparse, last = real_solve(ruleset, limit, keep)
         o[index] += 1
         return o, sparse, last
     monkeypatch.setattr(core, "_solve", forged_solve)
@@ -199,13 +199,13 @@ class TestConvergencePoint:
 
     def test_aperiodic_tail_from_xi_is_violation(self):
         # The certificate reads greedy_from only; an outcome off the
-        # period just past xi can then only be a solver fault.
+        # recurrence just past xi can then only be a solver fault.
         rs = Ruleset((5, 7))
         real = build_outcome_table(rs, default_x_max(rs))
         outcomes = list(real.outcomes)
         outcomes[40] += 1
         forged = OutcomeTable(rs, real.x_max, tuple(outcomes), real.opts, real.greedy_from)
-        with pytest.raises(TheoremViolationError, match="no period dividing 14"):
+        with pytest.raises(TheoremViolationError, match=r"o\(x\) \+ o\(x - 7\) != 7"):
             convergence_point(rs, forged)
 
     def test_as_dict_schema(self):
@@ -229,12 +229,12 @@ class TestConvergencePoint:
     def test_one_pass_to_the_certificate(self, monkeypatch):
         # One kernel call solves heaps 0..xi + 2*max S - 1, the run that
         # certifies xi, and stops; a caller's table that holds the
-        # 4*max S heaps from xi is read with no call, and one a heap short
+        # 2*max S heaps from xi is read with no call, and one a heap short
         # of them is solved again.
         rs = Ruleset((1, 99, 100))
         xi = 19403
-        window = build_outcome_table(rs, xi + 4 * 100 - 1)
-        short = build_outcome_table(rs, xi + 4 * 100 - 2)
+        window = build_outcome_table(rs, xi + 2 * 100 - 1)
+        short = build_outcome_table(rs, xi + 2 * 100 - 2)
         lengths = _record_kernel_calls(monkeypatch)
         report = convergence_point(rs)
         assert report.xi == xi
@@ -265,50 +265,41 @@ class TestConvergencePoint:
             assert convergence_point(rs) == convergence_point(rs, table), rs
 
     def test_dp_pass_matches_the_caller_table_exhaustively(self):
-        # The DP pass's 2*max S run and recurrence check against the 4*max S
-        # tail read from a caller's table, on every ruleset of three or more
-        # actions with max S <= 11.
+        # The DP pass against the window read from a caller's table, on
+        # every ruleset of three or more actions with max S <= 11.
         for rs in rulesets_with_max_at_most(11, range(3, 12)):
             table = build_outcome_table(rs, default_x_max(rs))
             assert convergence_point(rs) == convergence_point(rs, table), rs
 
     @pytest.mark.parametrize("actions", [(5, 7), (3, 7, 8), (2, 3, 4, 5, 6, 7)])
     @pytest.mark.parametrize("path", ["table", "solved"])
-    @pytest.mark.parametrize("heap", ["xi", "xi + 4m - 1"])
+    @pytest.mark.parametrize("heap", ["xi - m", "xi", "xi + 2m - 1"])
     def test_every_tail_heap_is_read(self, monkeypatch, actions, path, heap):
-        # The period is checked on the 4*max S outcomes from xi: a wrong
-        # outcome in the first or the last of them is no period dividing
-        # 2*max S, whether it comes from a caller's table or the closed
-        # form for a pair.  The DP pass (generic and deque kernels) solves
-        # only the 2*max S heaps from xi and checks the tail on them
-        # doubled, so the tail's last cell is heap xi + 2*max S - 1 there,
-        # and a wrong outcome at it or at xi breaks the recurrence check.
+        # The recurrence is checked on the 3*max S outcomes from xi - max S:
+        # a wrong outcome in the first, the one at xi or the last of them
+        # breaks it, on a pair, the generic kernel and the deque kernel.
+        # The table is a caller's from build_outcome_table, so the wrong
+        # outcome is one of its solved heaps, which the fill by period
+        # repeats above it; heap xi + 2m - 1 is its last solved heap.
+        # Otherwise it comes from the closed form for a pair, or from the
+        # DP pass, whose last 3*max S heaps are the window.
         rs = Ruleset(actions)
         m = rs.max_action
-        xi = convergence_point(rs).xi
-        cell = 0 if heap == "xi" else 4 * m - 1
-        if path == "table":
-            real = build_outcome_table(rs, default_x_max(rs))
-            outcomes = list(real.outcomes)
-            outcomes[xi + cell] += 1
-            forged = OutcomeTable(rs, real.x_max, tuple(outcomes), real.opts, real.greedy_from)
-            with pytest.raises(TheoremViolationError, match=f"no period dividing {2 * m}"):
-                convergence_point(rs, forged)
-            return
-        if rs.is_two_action:
-            real_tail = analysis._outcomes_from_xi
+        cell = {"xi - m": 0, "xi": m, "xi + 2m - 1": 3 * m - 1}[heap]
+        if path == "solved" and rs.is_two_action:
+            real_window = analysis._outcomes_from_xi
 
-            def forged_tail(sol):
-                tail = real_tail(sol)
-                tail[cell] += 1
-                return tail
-            monkeypatch.setattr(analysis, "_outcomes_from_xi", forged_tail)
-            match = f"no period dividing {2 * m}"
+            def forged_window(sol):
+                window = real_window(sol)
+                window[cell] += 1
+                return window
+            monkeypatch.setattr(analysis, "_outcomes_from_xi", forged_window)
+            table = None
         else:
-            _forge_solved_heap(monkeypatch, cell % (2 * m) - 2 * m)
-            match = rf"o\(x\) \+ o\(x - {m}\) != {m}"
-        with pytest.raises(TheoremViolationError, match=match):
-            convergence_point(rs)
+            _forge_solved_heap(monkeypatch, cell - 3 * m)
+            table = build_outcome_table(rs, default_x_max(rs)) if path == "table" else None
+        with pytest.raises(TheoremViolationError, match=rf"o\(x\) \+ o\(x - {m}\) != {m}"):
+            convergence_point(rs, table)
 
     @pytest.mark.parametrize("actions", [(3, 7, 8), (2, 3, 4, 5, 6, 7)])
     def test_heap_max_s_below_xi_is_read(self, monkeypatch, actions):

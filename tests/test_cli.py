@@ -152,8 +152,8 @@ class TestConverge:
         assert "verified_up_to" not in payload
 
     def test_extremal_pair(self, capsys):
-        # {s-1, s} has the largest xi for its max S, 2*(s-1)^2; the table
-        # grows in place through it and on to xi + 4*max S.
+        # {s-1, s} has the largest xi for its max S, 2*(s-1)^2; the closed
+        # form answers it from the 3*max S outcomes from xi - max S.
         code, out, _ = run(capsys, ["converge", "-S", "199,200", "--json"])
         assert code == 0
         payload = json.loads(out)

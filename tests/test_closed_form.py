@@ -212,18 +212,18 @@ class TestTwoActionOutcome:
 
 
 class TestOutcomesFromXi:
-    """The 4*s1 outcomes from xi that convergence_point's period check reads."""
+    """The 3*s1 outcomes from xi - s1 that convergence_point's check reads."""
 
     def test_frozen_5_7(self):
-        # xi = 31, and O_57 holds heaps up to 55: the first 25 of 28.
-        assert _outcomes_from_xi(build_two_action(5, 7))[:25] == list(O_57[31:])
+        # xi = 31, so the window is heaps 24..44, all in O_57.
+        assert _outcomes_from_xi(build_two_action(5, 7)) == list(O_57[24:45])
 
     def test_equals_dp_for_every_pair_up_to_40(self):
         for rs in rulesets_with_max_at_most(40, (2,)):
             s2, s1 = rs.actions
             sol = build_two_action(s2, s1)
-            table = build_outcome_table(rs, sol.xi + 4 * s1 - 1)
-            assert _outcomes_from_xi(sol) == list(table.outcomes[sol.xi:]), rs
+            table = build_outcome_table(rs, sol.xi + 2 * s1 - 1)
+            assert _outcomes_from_xi(sol) == list(table.outcomes[sol.xi - s1:]), rs
 
     def test_congruent_x_star_members_are_a_theorem_violation(self):
         # The one pass over the blocks checks what two_action_outcome's stop

@@ -216,12 +216,12 @@ class TestPeriodHelpers:
         assert _period_cell(x, 6, self.LAG) == cell
 
 
-def _kernel_table(kernel, rs, limit, run):
-    """Run one DP kernel from heap 0 until `run` heaps with opt max S stop
+def _kernel_table(kernel, rs, limit):
+    """Run one DP kernel from heap 0 until 2*max S heaps with opt max S stop
     it: (last non-greedy heap, o, opt), which end at the stop or at limit.
     opt is expanded from the kernel's sparse pairs: None below min S, and
     max S on every solved heap that has no pair."""
-    o, sparse, last = kernel(rs, limit, run)
+    o, sparse, last = kernel(rs, limit)
     opts = [None] * min(rs.min_action, len(o)) + [rs.max_action] * (len(o) - rs.min_action)
     for x, s in sparse:
         opts[x] = s
@@ -244,39 +244,34 @@ class TestContiguousFastPath:
         rs = Ruleset(actions)
         assert rs.is_contiguous
         m = rs.max_action
-        tables = []
-        for run in (2 * m, 4 * m):
-            fast = _kernel_table(_table_contiguous, rs, 250, run)
-            slow = _kernel_table(_table_generic, rs, 250, run)
-            assert fast == slow
-            # Both return the last heap whose opt is not max S, and stop
-            # at the first run of `run` heaps with opt max S after it.
-            last, _, opts = fast
-            assert last + run < 250
-            assert opts[last] != m
-            assert opts[last + 1:] == [m] * run
-            assert build_outcome_table(rs, 250).greedy_from == last + 1
-            # A limit one heap short of the stop ends the lists there instead.
-            for kernel in (_table_contiguous, _table_generic):
-                short = _kernel_table(kernel, rs, last + run - 1, run)
-                assert short == (last, fast[1][:-1], opts[:-1])
-            tables.append(fast)
-        # The shorter run stops inside the longer one's lists.
-        (last, o, opts), (long_last, long_o, long_opts) = tables
-        assert last == long_last
-        assert (o, opts) == (long_o[:len(o)], long_opts[:len(o)])
+        fast = _kernel_table(_table_contiguous, rs, 250)
+        slow = _kernel_table(_table_generic, rs, 250)
+        assert fast == slow
+        # Both return the last heap whose opt is not max S, and stop at
+        # the first run of 2*max S heaps with opt max S after it.
+        last, _, opts = fast
+        assert last + 2 * m < 250
+        assert opts[last] != m
+        assert opts[last + 1:] == [m] * (2 * m)
+        assert build_outcome_table(rs, 250).greedy_from == last + 1
+        # A limit one heap short of the stop ends the lists there instead.
+        for kernel in (_table_contiguous, _table_generic):
+            short = _kernel_table(kernel, rs, last + 2 * m - 1)
+            assert short == (last, fast[1][:-1], opts[:-1])
 
     def test_certificate_run_finds_the_same_greedy_from(self):
         # 2*max S heaps with opt max S certify it on every larger heap
-        # (see build_outcome_table), so a pass stopped by that run finds
-        # the greedy_from of one stopped by 4*max S, on every ruleset.
+        # (see build_outcome_table), so the pass stopped by that run finds
+        # the greedy_from that a two-table minimax finds up to
+        # default_x_max: one past the last heap whose opt is not max S, on
+        # every ruleset with max S <= 9.
         for rs in rulesets_with_max_at_most(9, range(2, 10)):
             m = rs.max_action
-            short = _solved_table(rs, default_x_max(rs), 0, 2 * m)
-            long = _solved_table(rs, default_x_max(rs), 0, 4 * m)
-            assert short.greedy_from == long.greedy_from, rs
-            assert short.x_max == short.greedy_from + 2 * m - 1, rs
-            assert short.outcomes == long.outcomes[:short.x_max + 1], rs
+            table = _solved_table(rs, default_x_max(rs), 0)
+            opts = _largest_maximizers(rs, default_x_max(rs))
+            assert table.greedy_from == 1 + max(x for x, opt in enumerate(opts) if opt != m), rs
+            assert table.x_max == table.greedy_from + 2 * m - 1, rs
+            assert list(table.opts) == opts[:table.x_max + 1], rs
 
     @pytest.mark.parametrize(
         "actions, kernel",
@@ -296,9 +291,9 @@ class TestContiguousFastPath:
         def spy(name):
             real = getattr(core, name)
 
-            def call(ruleset, limit, run, keep=None):
+            def call(ruleset, limit, keep=None):
                 calls.append(name)
-                return real(ruleset, limit, run, keep)
+                return real(ruleset, limit, keep)
             return call
 
         for name in ("_table_contiguous", "_table_generic"):
@@ -324,23 +319,23 @@ class TestStreamingKernels:
     )
     def test_trimmed_pass_is_the_tail_of_the_whole_pass(self, actions):
         # Every keep from max S up past the whole pass puts the trims at
-        # every offset to xi, to the run that stops the pass and to limit.
+        # every offset to xi, to the 2*max S run that stops the pass and
+        # to limit.
         rs = Ruleset(actions)
         m = rs.max_action
         kernels = [_table_generic]
         if rs.is_contiguous:
             kernels.append(_table_contiguous)
         for kernel in kernels:
-            for run in (2 * m, 4 * m):
-                _, _, last = kernel(rs, 10**6, run)
-                for limit in (last + run, last + run - 1, last):
-                    whole, _, whole_last = kernel(rs, limit, run)
-                    for keep in range(m, len(whole) + 2):
-                        tail, _, tail_last = kernel(rs, limit, run, keep)
-                        case = (kernel.__name__, run, limit, keep)
-                        assert tail_last == whole_last, case
-                        assert min(keep, len(whole)) <= len(tail) <= 2 * keep, case
-                        assert tail == whole[len(whole) - len(tail):], case
+            _, _, last = kernel(rs, 10**6)
+            for limit in (last + 2 * m, last + 2 * m - 1, last):
+                whole, _, whole_last = kernel(rs, limit)
+                for keep in range(m, len(whole) + 2):
+                    tail, _, tail_last = kernel(rs, limit, keep)
+                    case = (kernel.__name__, limit, keep)
+                    assert tail_last == whole_last, case
+                    assert min(keep, len(whole)) <= len(tail) <= 2 * keep, case
+                    assert tail == whole[len(whole) - len(tail):], case
 
 
 class TestOptAction:
@@ -364,7 +359,7 @@ class TestOptAction:
     def test_generic_kernel_largest_tie_break(self, actions, heap, tied, opt):
         rs = Ruleset(actions)
         assert not rs.is_contiguous
-        _, o, opts = _kernel_table(_table_generic, rs, 100, 4 * rs.max_action)
+        _, o, opts = _kernel_table(_table_generic, rs, 100)
         best = max(s - o[heap - s] for s in actions if s <= heap)
         assert [s for s in actions if s <= heap and s - o[heap - s] == best] == list(tied)
         assert opts[heap] == opt

@@ -281,8 +281,9 @@ def test_closed_form_convergence_matches_the_dp(pair):
     table = build_outcome_table(rs, default_x_max(rs))
     report = convergence_point(rs)
     assert report == convergence_point(rs, table)
-    tail = table.outcomes[report.xi:report.xi + 4 * rs.max_action]
-    assert _outcomes_from_xi(build_two_action(*pair)) == list(tail)
+    m = rs.max_action
+    window = table.outcomes[report.xi - m:report.xi + 2 * m]
+    assert _outcomes_from_xi(build_two_action(*pair)) == list(window)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
