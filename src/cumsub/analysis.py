@@ -127,10 +127,10 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
     period 2m from xi - m on, and its least period from xi is that of the
     2m outcomes from xi repeated (see core._least_period).
 
-    Both no-table paths hold O(max S) heaps, so a max S with 5*max S
-    above TABLE_HEAP_LIMIT raises ValueError before anything is
-    allocated; the window needs only 3*max S, but the cap and its message
-    stay, so no exit code changes.  A DP pass with no certificate within
+    Both no-table paths hold O(max S) heaps, so a max S above
+    TABLE_HEAP_LIMIT // 5 raises ValueError before anything is allocated;
+    the window needs only 3*max S, but the cap stays, so no exit code
+    changes.  A DP pass with no certificate within
     CONVERGENCE_HEAP_LIMIT solved heaps raises ValueError once it has
     solved them.  xi beyond the proven bound 2*(max S)^2, no certificate
     by default_x_max, or a window off the recurrence is a theorem
@@ -145,7 +145,7 @@ def convergence_point(ruleset: Ruleset, table: OutcomeTable | None = None) -> Co
         xi, top = table.greedy_from, table.x_max
         window = table.outcomes[xi - m:xi + 2 * m]
     elif 5 * m > core.TABLE_HEAP_LIMIT:
-        raise ValueError(f"max S = {m} needs windows of 5*max S heaps, above the supported {core.TABLE_HEAP_LIMIT}")
+        raise ValueError(f"max S = {m} lies above the supported {core.TABLE_HEAP_LIMIT // 5}")
     elif ruleset.is_two_action:
         sol = build_two_action(ruleset.min_action, m)
         xi, top = sol.xi, sol.xi + 2 * m - 1

@@ -9,18 +9,36 @@ heaps where the smaller action is strictly better form blocks
 
     X*(i) = { i*s2 + (i-1)*s1 + delta : 0 <= delta < alpha },
 
-one block per i >= 1 with i*s2 > (i-1)*s1 (equivalently i*alpha < s1).
-From a heap in X*(i), Positive opens with s2 and then keeps the move sum
-of every round at s1 + s2, collecting i*s2 - (i-1)*s1 = s1 - i*alpha.
-Everywhere else greedy is optimal, and convergence happens at
-xi = (s1+s2)*ceil(s2/alpha) - s2, one past the largest X* member.
+one block per i >= 1 with i*s2 > (i-1)*s1 (equivalently i*alpha < s1),
+so k = (s1 - 1) // alpha blocks.  From a heap in X*(i), Positive opens
+with s2 and then keeps the move sum of every round at s1 + s2, collecting
+i*s2 - (i-1)*s1 = s1 - i*alpha.  Everywhere else greedy is optimal, and
+convergence happens at xi = (s1+s2)*ceil(s2/alpha) - s2 = s1 + (k-1)*(s1+s2),
+one past the largest X* member.
+
+Each residue mod s1 holds at most one X* heap.  Since s2 = s1 - alpha,
+
+    i*s2 + (i-1)*s1 + delta = 2*(i-1)*s1 + (s1 - i*alpha + delta),
+
+and 0 < s1 - i*alpha <= s1 - i*alpha + delta < s1 - (i-1)*alpha <= s1.  So
+X*(i) holds one heap of each residue r in [s1 - i*alpha, s1 - (i-1)*alpha),
+namely r + 2*(i-1)*s1, and no other.  These intervals are disjoint, so a
+residue r lies in at most one of them: r lies in the i-th exactly when
+(i-1)*alpha <= s1 - 1 - r < i*alpha, that is, in block
+i(r) = (s1 - 1 - r) // alpha + 1, which exists when i(r)*alpha < s1.
+Writing x = q*s1 + r, opt(x) = s2 exactly when i(r) exists and
+q = 2*(i(r) - 1).
 
 Outcomes follow optimal play directly.  Off X* both players take s1, so
-play descends from x by s1 until the first heap y that is in X* or
-terminal; o(x) = o(y) after an even number of steps and s1 - o(y) after
-an odd number.  o(y) is s1 - i*alpha on X*(i) for i >= 2.  X*(1) is
-exactly [s2, s1), where only s2 is playable: there, as at terminal heaps,
-o(y) is the s2 parity race, s2 if y // s2 is odd and 0 otherwise.
+play descends from x through q*s1 + r, (q-1)*s1 + r, ... down to r, and
+stops at the first X* heap on the way.  That is the X* heap of r when
+i(r) >= 2 exists and q >= 2*(i(r) - 1); otherwise play reaches r, which
+is terminal or in X*(1) = [s2, s1).  Either way the descent takes a
+number of steps of q's parity, so o(x) = v for even q and s1 - v for odd
+q, where v is the outcome where it stops: s1 - i*alpha on X*(i) for
+i >= 2, and at r, where only s2 is playable or nothing is, the s2 parity
+race, s2 if r // s2 is odd and 0 otherwise.  These rules read s2, s1 and
+alpha, never the x_star listing.
 
 convergence_point answers every pair from here, with build_two_action's xi
 and the 3*s1 outcomes from xi - s1 that _outcomes_from_xi gives, which it
@@ -29,11 +47,10 @@ checks as it checks a DP pass's.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import TABLE_HEAP_LIMIT, Report, Ruleset, TheoremViolationError
+from .core import TABLE_HEAP_LIMIT, Report, Ruleset
 
 
 def full_support_outcome(s1: int, x: int) -> int:
@@ -75,32 +92,17 @@ class TwoActionSolution(Report):
     def members(self) -> frozenset[int]:
         return frozenset(y for block in self.x_star for y in block)
 
-    @cached_property
-    def _stops(self) -> list[list[int]]:
-        """Per residue r mod s1, ascending: the heaps where a descent by s1 ending
-        in r stops, namely r itself and the X* members above it congruent to r."""
-        period = 2 * self.s1
-        if len({y % period for y in self.members}) != len(self.members):
-            raise TheoremViolationError(
-                f"two X* members are congruent mod {period} for S={{{self.s2},{self.s1}}}"
-            )
-        stops = [[r] for r in range(self.s1)]
-        for y in sorted(self.members):
-            if y >= self.s1:
-                stops[y % self.s1].append(y)
-        return stops
-
     @property
     def ruleset(self) -> Ruleset:
         return Ruleset((self.s2, self.s1))
 
     def block_index(self, x: int) -> int | None:
-        """i with x in X*(i), or None.
-
-        X*(i) starts at i*(s1+s2) - s1 and holds alpha heaps.
-        """
-        i, delta = divmod(x + self.s1, self.s1 + self.s2)
-        return i if delta < self.alpha and 1 <= i <= len(self.x_star) else None
+        """i with x in X*(i), or None: x = q*s1 + r is the X* heap of its
+        residue r, which lies in block _residue_block(self, r) = i when
+        q = 2*(i-1) (see the module docstring)."""
+        q, r = divmod(x, self.s1)
+        i = _residue_block(self, r)
+        return i if i is not None and q == 2 * (i - 1) else None
 
 
 def build_two_action(s2: int, s1: int) -> TwoActionSolution:
@@ -123,64 +125,55 @@ def build_two_action(s2: int, s1: int) -> TwoActionSolution:
     )
 
 
+def _residue_block(sol: TwoActionSolution, r: int) -> int | None:
+    """i with X*(i) holding a heap of residue r mod s1, or None (module docstring)."""
+    i = (sol.s1 - 1 - r) // sol.alpha + 1
+    return i if i * sol.alpha < sol.s1 else None
+
+
 def two_action_opt(sol: TwoActionSolution, x: int) -> int:
     """opt(x): the smaller action exactly on X*, greedy everywhere else."""
     if x < sol.s2:
         raise ValueError(f"heap {x} is terminal for {{{sol.s2},{sol.s1}}}; no action exists")
-    return sol.s2 if x in sol.members else sol.s1
-
-
-def _stop_outcome(sol: TwoActionSolution, y: int) -> int:
-    """o(y) at a heap y where a descent by s1 stops: terminal or in X*."""
-    if y < sol.s1:  # terminal or X*(1): the s2 parity race
-        return sol.s2 if (y // sol.s2) % 2 else 0
-    return sol.s1 - sol.block_index(y) * sol.alpha
+    return sol.s2 if sol.block_index(x) else sol.s1
 
 
 def two_action_outcome(sol: TwoActionSolution, x: int) -> int:
-    """o(x) without dynamic programming: the descent rule of the module docstring."""
+    """o(x) in O(1), without dynamic programming: the descent by s1 of the
+    module docstring stops at the X* heap of x's residue r when that heap
+    lies above r and not above x, and at r otherwise."""
     if x < 0:
         raise ValueError(f"heap must be nonnegative, got {x}")
     s1 = sol.s1
-    stops = sol._stops[x % s1]
-    y = stops[bisect.bisect_right(stops, x) - 1]
-    base = _stop_outcome(sol, y)
-    return s1 - base if (x - y) // s1 % 2 else base
+    q, r = divmod(x, s1)
+    i = _residue_block(sol, r)
+    if i is not None and i >= 2 and 2 * (i - 1) <= q:
+        v = s1 - i * sol.alpha
+    else:
+        v = sol.s2 if r // sol.s2 % 2 else 0
+    return s1 - v if q % 2 else v
 
 
 def _outcomes_from_xi(sol: TwoActionSolution) -> list[int]:
     """o(x) for the 3*s1 heaps x = xi - s1, ..., xi + 2*s1 - 1, in one pass over residues.
 
-    Each of them descends by s1 to the last stop of its residue mod s1,
-    with no bisect: the largest X* member of that residue, or the residue
-    itself.  Past xi that holds since every X* member lies below xi.
-    Below xi, no member y of a heap x's residue lies above x, since
-    y >= x + s1 >= xi would follow.  The blocks ascend, so one pass over
-    them leaves each residue's last member in place, with no stop lists,
-    and checks that no two members are congruent mod 2*s1, as _stops
-    does.  A residue has three heaps in the window, s1 apart, so their
-    descents alternate between an even and an odd number of steps.
+    The first s1 of them, lo = xi - s1 up to xi - 1, hold each residue
+    once.  Each lies at or above the X* heap of its residue, since that
+    heap is below xi, so its descent stops there (or at r) as in
+    two_action_outcome.  Every heap from xi on plays s1, so the two heaps
+    s1 and 2*s1 above it have outcomes s1 - v and v.
     """
-    s1, period = sol.s1, 2 * sol.s1
+    s1 = sol.s1
     lo = sol.xi - s1
-    last = list(range(s1))
-    seen = bytearray(period)
-    for block in sol.x_star:
-        for y in block:
-            if seen[y % period]:
-                raise TheoremViolationError(
-                    f"two X* members are congruent mod {period} for S={{{sol.s2},{s1}}}"
-                )
-            seen[y % period] = 1
-            last[y % s1] = y
     window = [0] * (3 * s1)
-    for r, y in enumerate(last):
-        i = (r - lo) % s1  # heap lo + i is the first of residue r in the window
-        v = _stop_outcome(sol, y)
-        if (lo + i - y) // s1 % 2:
+    for j in range(s1):
+        q, r = divmod(lo + j, s1)
+        i = _residue_block(sol, r)
+        v = s1 - i * sol.alpha if i is not None and i >= 2 else (sol.s2 if r // sol.s2 % 2 else 0)
+        if q % 2:
             v = s1 - v
-        window[i] = window[i + 2 * s1] = v
-        window[i + s1] = s1 - v
+        window[j] = window[j + 2 * s1] = v
+        window[j + s1] = s1 - v
     return window
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from cumsub import (
     Ruleset,
-    TheoremViolationError,
     TwoActionSolution,
     build_outcome_table,
     build_two_action,
@@ -25,7 +24,7 @@ from cumsub import (
     two_action_opt,
     two_action_outcome,
 )
-from cumsub.closed_form import _outcomes_from_xi
+from cumsub.closed_form import _outcomes_from_xi, _residue_block
 from cumsub.core import TABLE_HEAP_LIMIT
 
 # o(x) for S={5,7}, x = 0..55 (same reference table as test_core).
@@ -125,6 +124,27 @@ class TestTwoActionStructure:
         for s2 in range(1, 20):
             assert build_two_action(s2, s2 + 1).xi == 2 * s2 * s2
 
+    def test_one_x_star_heap_per_residue(self):
+        # The residue rule of the module docstring, against the blocks
+        # build_two_action lists from the paper's formula, on every pair
+        # with s1 <= 300: X*(i) covers residues [s1 - i*alpha,
+        # s1 - (i-1)*alpha) at heaps r + 2(i-1)*s1, so no residue holds two
+        # X* heaps, and _residue_block finds each block from its residues.
+        for s1 in range(2, 301):
+            for s2 in range(1, s1):
+                sol = build_two_action(s2, s1)
+                a = sol.alpha
+                k = (s1 - 1) // a
+                assert len(sol.x_star) == k, (s2, s1)
+                residues = [y % s1 for block in sol.x_star for y in block]
+                assert len(set(residues)) == len(residues), (s2, s1)
+                for i, block in enumerate(sol.x_star, start=1):
+                    lo, hi = s1 - i * a, s1 - (i - 1) * a
+                    assert block == tuple(range(lo + 2 * (i - 1) * s1, hi + 2 * (i - 1) * s1)), (s2, s1, i)
+                    assert _residue_block(sol, lo) == _residue_block(sol, hi - 1) == i, (s2, s1, i)
+                assert _residue_block(sol, s1 - k * a - 1) is None, (s2, s1)
+                assert sol.xi == s1 + (k - 1) * (s1 + s2) == (s1 + s2) * -(-s2 // a) - s2, (s2, s1)
+
     def test_block_index(self):
         sol = build_two_action(5, 7)
         assert sol.block_index(5) == 1
@@ -173,10 +193,18 @@ class TestTwoActionOutcome:
         assert two_action_outcome(sol, 34) == two_action_outcome(sol, 6) == 5
 
     def test_congruent_x_star_members_are_a_theorem_violation(self):
-        # 5 and 19 share residue 5 mod 14, which no real X* allows.
-        sol = TwoActionSolution(s2=5, s1=7, alpha=2, i_max=3, xi=31, x_star=((5, 6), (19, 20)))
-        with pytest.raises(TheoremViolationError):
-            two_action_outcome(sol, 33)
+        # 5 and 19 share residue 5 mod 7, which the residue rule of the
+        # module docstring forbids, so 19 is no X* heap.  The rules read
+        # s2, s1 and alpha only: this forged listing gets the outcomes,
+        # opts and block indices of the real {5,7}.
+        forged = TwoActionSolution(s2=5, s1=7, alpha=2, i_max=3, xi=31, x_star=((5, 6), (19, 20)))
+        sol = build_two_action(5, 7)
+        assert 19 in forged.members and forged.block_index(19) is None
+        for x in range(100):
+            assert two_action_outcome(forged, x) == two_action_outcome(sol, x), x
+            if x >= 5:
+                assert two_action_opt(forged, x) == two_action_opt(sol, x), x
+            assert forged.block_index(x) == sol.block_index(x), x
 
     def test_case_high_residue_reflection(self):
         # 41 mod 14 = 13 >= 7, so o(41) = 7 - o(34).
@@ -226,11 +254,10 @@ class TestOutcomesFromXi:
             assert _outcomes_from_xi(sol) == list(table.outcomes[sol.xi - s1:]), rs
 
     def test_congruent_x_star_members_are_a_theorem_violation(self):
-        # The one pass over the blocks checks what two_action_outcome's stop
-        # lists check: 5 and 19 share residue 5 mod 14.
-        sol = TwoActionSolution(s2=5, s1=7, alpha=2, i_max=3, xi=31, x_star=((5, 6), (19, 20)))
-        with pytest.raises(TheoremViolationError, match="congruent mod 14"):
-            _outcomes_from_xi(sol)
+        # The same forged {5,7} listing as in TestTwoActionOutcome: the
+        # window reads residues, not x_star, so it is the real one.
+        forged = TwoActionSolution(s2=5, s1=7, alpha=2, i_max=3, xi=31, x_star=((5, 6), (19, 20)))
+        assert _outcomes_from_xi(forged) == list(O_57[24:45])
 
 
 class TestTwoActionOpt:

@@ -287,6 +287,22 @@ def test_closed_form_convergence_matches_the_dp(pair):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
+@given(wide_pairs, st.lists(st.integers(0, 10**12), min_size=1, max_size=20))
+@example((149, 150), [10**12, 10**12 - 1, 2 * 149**2 - 1])
+def test_two_action_closed_form_far_out_matches_the_periodic_dp(pair, heaps):
+    # Past xi the outcomes repeat with period 2*s1 and opt is s1, so the
+    # DP's 2*s1 heaps from xi hold the answer at every heap, however far.
+    s2, s1 = pair
+    sol = build_two_action(s2, s1)
+    table = build_outcome_table(Ruleset(pair), sol.xi + 2 * s1 - 1)
+    for x in heaps:
+        y = x if x < sol.xi else sol.xi + (x - sol.xi) % (2 * s1)
+        assert two_action_outcome(sol, x) == table.outcomes[y], x
+        if x >= s2:
+            assert two_action_opt(sol, x) == table.opts[y], x
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
 @given(wide_rulesets)
 def test_opt_is_max_from_certified_xi_far_past_window(rs):
     # Read from the two-table minimax, not the DP, which fills this range.
